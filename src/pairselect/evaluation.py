@@ -127,15 +127,12 @@ def auc(scores, labels) -> float:
         raise EvaluationError("auc needs both classes in the labels")
 
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=np.float64)
     sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # tie block [start, end) of the sorted scores shares its average 1-based rank
+    start = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    end = np.r_[start[1:], len(s)]
+    ranks = np.empty(len(s), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + end - 1) + 1.0, end - start)
     rank_sum_pos = float(ranks[l == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -137,14 +137,6 @@ def train(spec: ClassifierSpec, X, y, seed: int) -> Classifier:
     return model
 
 
-def predict(model: Classifier, X) -> np.ndarray:
-    return model.predict(X)
-
-
-def score(model: Classifier, X) -> np.ndarray:
-    return model.score_samples(X)
-
-
 def grid_combinations(kind: str, grid: Mapping[str, tuple] | None = None) -> list[ClassifierSpec]:
     """Cartesian product of the grid axes, in declared order."""
     if kind not in REGISTRY:
@@ -203,7 +195,11 @@ def grid_search(
 
 
 def save_model(model: Classifier, path) -> None:
-    """Persist a trained classifier; round-trips predictions exactly."""
+    """Persist a trained classifier; round-trips predictions exactly.
+
+    The file is a pickle of the whole model object, so it is only as safe
+    to read back as its source is trusted (see ``load_model``).
+    """
     payload = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
@@ -215,6 +211,11 @@ def save_model(model: Classifier, path) -> None:
 
 
 def load_model(path) -> Classifier:
+    """Read a classifier written by ``save_model``.
+
+    The file is unpickled, and unpickling can run arbitrary code: only
+    load files this program wrote or that come from a trusted source.
+    """
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:

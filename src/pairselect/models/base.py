@@ -70,7 +70,6 @@ class Classifier:
     """Base for all zoo members; subclasses implement ``_fit`` and ``score_samples``."""
 
     kind = "base"
-    scale_sensitive = False
 
     def fit(self, X, y, seed: int = 0) -> "Classifier":
         X = as_matrix(X)

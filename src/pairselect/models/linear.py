@@ -16,7 +16,6 @@ class LogisticRegressionModel(Classifier):
     """
 
     kind = "logistic"
-    scale_sensitive = True
 
     def __init__(self, C: float = 0.1, max_iter: int = 10_000, tol: float = 1e-6):
         self.C = float(C)
@@ -67,7 +66,6 @@ class LinearSVMModel(Classifier):
     """
 
     kind = "linear_svm"
-    scale_sensitive = True
 
     def __init__(self, C: float = 1.0, max_iter: int = 10_000, tol: float = 1e-6):
         self.C = float(C)

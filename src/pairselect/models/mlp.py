@@ -16,7 +16,6 @@ class MLPModel(Classifier):
     """
 
     kind = "mlp"
-    scale_sensitive = True
 
     def __init__(
         self,

@@ -16,7 +16,6 @@ class KNeighborsModel(Classifier):
     """
 
     kind = "kneighbors"
-    scale_sensitive = True
 
     def __init__(self, n_neighbors: int = 7):
         self.n_neighbors = int(n_neighbors)

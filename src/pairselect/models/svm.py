@@ -25,7 +25,6 @@ class KernelSVMModel(Classifier):
     """
 
     kind = "kernel_svm"
-    scale_sensitive = True
 
     def __init__(self, C: float = 1.0, gamma: float | str = "scale", max_iter: int = 5_000, tol: float = 1e-6):
         self.C = float(C)

@@ -5,6 +5,15 @@ classification tree and forest, variance for the boosting stage's
 regression trees.  Splits are exact (every midpoint between distinct
 sorted values is a candidate); ties break toward the lower feature index
 and then the lower threshold, which keeps training deterministic.
+
+Each feature is sorted once per tree (the exact pre-sorted search of
+Chen & Guestrin, "XGBoost", KDD 2016).  The invariant that keeps the trees
+exact: every node holds, per feature, its rows sorted by (value, row id),
+which is the order a stable argsort of the node's own rows would give.
+Splitting a node partitions those lists stably with a row mask, so both
+children inherit the invariant; the partition itself is ``x <= threshold``,
+not a cut at a sorted position, because a midpoint can round onto the
+upper of its two values.
 """
 
 from __future__ import annotations
@@ -66,40 +75,41 @@ def _node_score(total_sum: float, total_sq: float, m: int, criterion: str) -> fl
     return total_sq - total_sum * total_sum / m  # sse
 
 
-def _best_split(X, t, idx, features, min_samples_leaf, criterion):
-    """Best (score, feature, threshold) over candidate cuts, or None."""
-    m = len(idx)
-    best = None
-    tt = t[idx]
-    tsq = tt * tt
-    for f in features:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xo = xs[order]
-        to = tt[order]
-        so = tsq[order]
-        csum = np.cumsum(to)
-        csq = np.cumsum(so)
-        pos = np.arange(1, m)  # left part takes pos elements
-        valid = xo[:-1] < xo[1:]
-        valid &= (pos >= min_samples_leaf) & (m - pos >= min_samples_leaf)
-        if not valid.any():
-            continue
-        ml = pos.astype(np.float64)
-        mr = m - ml
-        sl = csum[:-1]
-        sr = csum[-1] - sl
-        if criterion == "gini":
-            score = 2.0 * (sl * (ml - sl) / ml + sr * (mr - sr) / mr)
-        else:
-            sql = csq[:-1]
-            sqr = csq[-1] - sql
-            score = (sql - sl * sl / ml) + (sqr - sr * sr / mr)
-        score = np.where(valid, score, np.inf)
-        j = int(np.argmin(score))  # first minimum -> lowest threshold wins ties
-        if best is None or score[j] < best[0]:
-            best = (float(score[j]), int(f), float((xo[j] + xo[j + 1]) / 2.0))
-    return best
+def _best_split(Xt, t, tsq, order, features, min_samples_leaf, criterion):
+    """Best (score, feature, threshold) over candidate cuts, or None.
+
+    ``order`` holds the node's rows per feature, sorted by (value, row id);
+    all candidate features are scored in one (k, m) pass.
+    """
+    m = order.shape[1]
+    # cut j puts the first j + 1 sorted rows on the left; only these leave
+    # min_samples_leaf rows on both sides
+    lo, hi = min_samples_leaf - 1, m - min_samples_leaf
+    if lo >= hi:
+        return None
+    rows = order if len(features) == len(order) else order[features]
+    xo = Xt[features[:, None], rows]
+    valid = xo[:, lo:hi] < xo[:, lo + 1 : hi + 1]
+    if not valid.any():
+        return None
+    csum = np.cumsum(t[rows], axis=1)  # sequential per row, like a 1-D cumsum
+    ml = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    mr = m - ml
+    sl = csum[:, lo:hi]
+    sr = csum[:, -1:] - sl
+    if criterion == "gini":
+        score = 2.0 * (sl * (ml - sl) / ml + sr * (mr - sr) / mr)
+    else:
+        csq = np.cumsum(tsq[rows], axis=1)
+        sql = csq[:, lo:hi]
+        sqr = csq[:, -1:] - sql
+        score = (sql - sl * sl / ml) + (sqr - sr * sr / mr)
+    score[~valid] = np.inf
+    cut = score.argmin(axis=1)  # first minimum -> lowest threshold wins ties
+    best = score[np.arange(len(features)), cut]
+    i = int(best.argmin())  # first minimum -> lowest feature index wins ties
+    j = lo + int(cut[i])
+    return float(best[i]), int(features[i]), float((xo[i, j] + xo[i, j + 1]) / 2.0)
 
 
 def grow_tree(
@@ -114,14 +124,17 @@ def grow_tree(
 ) -> _Tree:
     """Grow one CART tree on ``target`` (binary labels or real residuals)."""
     t = np.asarray(target, dtype=np.float64)
-    d = X.shape[1]
+    tsq = t * t
+    n, d = X.shape
+    Xt = np.ascontiguousarray(X.T)
+    in_left = np.zeros(n, dtype=bool)
     tree = _Tree()
 
-    def build(idx: np.ndarray, depth: int) -> int:
+    def build(idx: np.ndarray, order: np.ndarray, depth: int) -> int:
         m = len(idx)
         ssum = float(t[idx].sum())
         node = tree.add_node(ssum / m)
-        sq = float((t[idx] * t[idx]).sum())
+        sq = float(tsq[idx].sum())
         parent_score = _node_score(ssum, sq, m, criterion)
         if depth >= max_depth or m < min_samples_split or parent_score <= _EPS_IMPROVEMENT:
             return node
@@ -129,18 +142,23 @@ def grow_tree(
             features = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             features = np.arange(d)
-        best = _best_split(X, t, idx, features, min_samples_leaf, criterion)
+        best = _best_split(Xt, t, tsq, order, features, min_samples_leaf, criterion)
         if best is None or best[0] >= parent_score - _EPS_IMPROVEMENT:
             return node
         _, f, thr = best
         go_left = X[idx, f] <= thr
+        left = idx[go_left]
+        in_left[left] = True
+        to_left = in_left[order]
+        in_left[left] = False
         tree.feature[node] = f
         tree.threshold[node] = thr
-        tree.left[node] = build(idx[go_left], depth + 1)
-        tree.right[node] = build(idx[~go_left], depth + 1)
+        # boolean indexing partitions stably: rows stay sorted by (value, row id)
+        tree.left[node] = build(left, order[to_left].reshape(d, -1), depth + 1)
+        tree.right[node] = build(idx[~go_left], order[~to_left].reshape(d, -1), depth + 1)
         return node
 
-    build(np.arange(len(X)), 0)
+    build(np.arange(n), np.argsort(Xt, axis=1, kind="stable"), 0)
     tree.freeze()
     return tree
 

@@ -7,6 +7,8 @@ recurrences and rank tricks the implementations use.
 
 import numpy as np
 
+from pairselect.models.trees import _EPS_IMPROVEMENT, _Tree, _node_score
+
 
 def sma_oracle(x, n):
     x = np.asarray(x, dtype=np.float64)
@@ -119,3 +121,82 @@ def compound_oracle(daily_returns_pct):
     for r in daily_returns_pct:
         value *= 1.0 + r / 100.0
     return (value - 1.0) * 100.0
+
+
+def _best_split_oracle(X, t, idx, features, min_samples_leaf, criterion):
+    """Best (score, feature, threshold) over candidate cuts, or None."""
+    m = len(idx)
+    best = None
+    tt = t[idx]
+    tsq = tt * tt
+    for f in features:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xo = xs[order]
+        to = tt[order]
+        so = tsq[order]
+        csum = np.cumsum(to)
+        csq = np.cumsum(so)
+        pos = np.arange(1, m)  # left part takes pos elements
+        valid = xo[:-1] < xo[1:]
+        valid &= (pos >= min_samples_leaf) & (m - pos >= min_samples_leaf)
+        if not valid.any():
+            continue
+        ml = pos.astype(np.float64)
+        mr = m - ml
+        sl = csum[:-1]
+        sr = csum[-1] - sl
+        if criterion == "gini":
+            score = 2.0 * (sl * (ml - sl) / ml + sr * (mr - sr) / mr)
+        else:
+            sql = csq[:-1]
+            sqr = csq[-1] - sql
+            score = (sql - sl * sl / ml) + (sqr - sr * sr / mr)
+        score = np.where(valid, score, np.inf)
+        j = int(np.argmin(score))  # first minimum -> lowest threshold wins ties
+        if best is None or score[j] < best[0]:
+            best = (float(score[j]), int(f), float((xo[j] + xo[j + 1]) / 2.0))
+    return best
+
+
+def grow_tree_oracle(
+    X: np.ndarray,
+    target: np.ndarray,
+    criterion: str,
+    max_depth: int,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    max_features: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> _Tree:
+    """Reference CART grower: a stable argsort of every feature at every node."""
+    t = np.asarray(target, dtype=np.float64)
+    d = X.shape[1]
+    tree = _Tree()
+
+    def build(idx: np.ndarray, depth: int) -> int:
+        m = len(idx)
+        ssum = float(t[idx].sum())
+        node = tree.add_node(ssum / m)
+        sq = float((t[idx] * t[idx]).sum())
+        parent_score = _node_score(ssum, sq, m, criterion)
+        if depth >= max_depth or m < min_samples_split or parent_score <= _EPS_IMPROVEMENT:
+            return node
+        if max_features is not None and max_features < d:
+            features = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            features = np.arange(d)
+        best = _best_split_oracle(X, t, idx, features, min_samples_leaf, criterion)
+        if best is None or best[0] >= parent_score - _EPS_IMPROVEMENT:
+            return node
+        _, f, thr = best
+        go_left = X[idx, f] <= thr
+        tree.feature[node] = f
+        tree.threshold[node] = thr
+        tree.left[node] = build(idx[go_left], depth + 1)
+        tree.right[node] = build(idx[~go_left], depth + 1)
+        return node
+
+    build(np.arange(len(X)), 0)
+    tree.freeze()
+    return tree

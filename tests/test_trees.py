@@ -1,0 +1,124 @@
+"""The pre-sorted CART grower against the per-node-argsort reference.
+
+Both growers must build the same tree bit for bit: same split features,
+thresholds, child links and leaf values, including every tie-break.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from pairselect.models import ClassifierSpec, train
+from pairselect.models import trees
+from pairselect.models.trees import grow_tree
+
+from oracles import grow_tree_oracle
+
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def _features(rng, n, d):
+    """A feature matrix mixing the column shapes that stress tie handling."""
+    cols = []
+    for _ in range(d):
+        shape = rng.integers(4)
+        if shape == 0:
+            cols.append(rng.integers(0, 4, size=n).astype(np.float64))  # tie-heavy
+        elif shape == 1:
+            cols.append(np.full(n, 1.5))  # constant
+        elif shape == 2:
+            cols.append(np.round(rng.normal(size=n), 1))
+        else:
+            cols.append(rng.normal(size=n))
+    X = np.column_stack(cols)
+    if rng.random() < 0.3:
+        X = X[rng.integers(0, max(1, n // 2), size=n)]  # duplicate rows
+    return X
+
+
+def _target(rng, n, criterion):
+    if criterion == "gini":
+        return rng.integers(0, 2, size=n).astype(np.float64)
+    return rng.integers(-3, 4, size=n) * 0.25 if rng.random() < 0.5 else rng.normal(size=n)
+
+
+def _assert_same_tree(a, b):
+    for name in TREE_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_grower_matches_reference_on_random_cases():
+    rng = np.random.default_rng(2016)
+    for case in range(240):
+        n = int(rng.integers(2, 301))
+        d = int(rng.integers(1, 7))
+        criterion = ("gini", "sse")[case % 2]
+        X = _features(rng, n, d)
+        target = _target(rng, n, criterion)
+        kwargs = dict(
+            criterion=criterion,
+            max_depth=int(rng.integers(1, 31)) if rng.random() < 0.9 else 200,
+            min_samples_split=int(rng.integers(2, 7)),
+            min_samples_leaf=int(rng.integers(1, 5)),
+        )
+        if d > 1 and rng.random() < 0.4:
+            kwargs["max_features"] = int(rng.integers(1, d))
+            seed = int(rng.integers(2**32))
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _assert_same_tree(
+                grow_tree(X, target, rng=rng_new, **kwargs),
+                grow_tree_oracle(X, target, rng=rng_ref, **kwargs),
+            )
+            assert rng_new.random() == rng_ref.random()  # same draws, same order
+        else:
+            _assert_same_tree(grow_tree(X, target, **kwargs), grow_tree_oracle(X, target, **kwargs))
+
+
+@pytest.mark.parametrize("criterion", ["gini", "sse"])
+def test_grower_matches_reference_on_edge_shapes(criterion):
+    rng = np.random.default_rng(7)
+    shapes = [
+        np.array([[0.0], [1.0]]),  # n = 2
+        np.zeros((9, 3)),  # all constant
+        np.repeat(np.arange(5.0), 6).reshape(-1, 1),  # tie blocks
+        np.tile(rng.normal(size=(4, 2)), (10, 1)),  # duplicated rows
+        np.tile([[1.0], [np.nextafter(1.0, 2.0)], [3.0]], (5, 1)),  # midpoint rounds down to 1.0
+    ]
+    for X, _ in itertools.product(shapes, range(3)):
+        target = _target(rng, len(X), criterion)
+        for leaf in range(1, 5):
+            for depth in (1, 30, 200):
+                kwargs = dict(criterion=criterion, max_depth=depth, min_samples_split=2, min_samples_leaf=leaf)
+                _assert_same_tree(grow_tree(X, target, **kwargs), grow_tree_oracle(X, target, **kwargs))
+
+
+def test_partition_follows_threshold_when_midpoint_rounds_up():
+    below = np.nextafter(2.0, 0.0)
+    X = np.repeat([below, 2.0, 3.0], 3).reshape(-1, 1)
+    target = np.repeat([0.0, 1.0, 1.0], 3)
+    kwargs = dict(criterion="gini", max_depth=1, min_samples_split=2, min_samples_leaf=1)
+    tree = grow_tree(X, target, **kwargs)
+    assert tree.threshold[0] == 2.0  # the cut after ``below`` rounds onto 2.0
+    assert tree.value[tree.left[0]] == 0.5  # so the 2.0 rows go left with it
+    _assert_same_tree(tree, grow_tree_oracle(X, target, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("decision_tree", {}),
+        ("random_forest", {"n_estimators": 15}),
+        ("gradient_boosting", {"n_estimators": 15}),
+    ],
+)
+def test_tree_models_score_as_with_reference_grower(kind, params, monkeypatch):
+    rng = np.random.default_rng(11)
+    X = np.column_stack([_features(rng, 250, 4), rng.normal(size=250)])
+    y = (X[:, -1] + rng.normal(size=250) > 0).astype(np.int64)
+    probe = np.vstack([X, rng.normal(size=(50, 5))])
+    spec = ClassifierSpec.resolve(kind, params)
+    scores = train(spec, X, y, seed=3).score_samples(probe)
+    monkeypatch.setattr(trees, "grow_tree", grow_tree_oracle)
+    reference = train(spec, X, y, seed=3).score_samples(probe)
+    assert np.array_equal(scores, reference)
