@@ -12,7 +12,6 @@ from .data import (
     PriceSeries,
     SyntheticSpec,
     generate_synthetic_series,
-    load_universe,
     parse_ohlcv_csv,
     serialize_ohlcv_csv,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "generate_synthetic_series",
     "grid_search",
     "load_model",
-    "load_universe",
     "macd",
     "mean_system_accuracy",
     "nnp",

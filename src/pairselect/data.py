@@ -261,27 +261,3 @@ def load_series(source: InstrumentSource) -> PriceSeries:
         return parse_ohlcv_csv(path.read_bytes(), source.symbol)
     return generate_synthetic_series(source.synthetic, source.symbol)
 
-
-def load_universe(sources, min_bars: int | None = None) -> list[PriceSeries]:
-    """Load every instrument, in config order, each fully validated.
-
-    ``min_bars`` is the warmup-plus-split minimum; shorter series are
-    rejected here so the failure names the instrument.
-    """
-    sources = list(sources)
-    if not sources:
-        raise ConfigError("universe has no instruments")
-    symbols = [s.symbol for s in sources]
-    if len(set(symbols)) != len(symbols):
-        raise ConfigError(f"duplicate instrument symbols in universe: {symbols}")
-
-    out = []
-    for source in sources:
-        series = load_series(source)
-        if min_bars is not None and len(series) < min_bars:
-            raise ValidationError(
-                f"instrument {source.symbol!r}: {len(series)} bars is below the "
-                f"required minimum of {min_bars}"
-            )
-        out.append(series)
-    return out

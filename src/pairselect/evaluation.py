@@ -138,15 +138,19 @@ def auc(scores, labels) -> float:
     return u / (n_pos * n_neg)
 
 
+def _check_returns(r: np.ndarray) -> None:
+    if np.any(np.abs(r) >= 100.0):
+        worst = float(np.max(np.abs(r)))
+        raise EvaluationError(f"daily return of {worst}% breaks the data contract (|r| < 100)")
+
+
 def strategy_returns(predictions, realized_returns_pct, short_on_down: bool = True) -> np.ndarray:
     """Per-day strategy returns: +r on a 1, -r (or 0 when not shorting) on a 0."""
     p = np.asarray(predictions, dtype=np.int64)
     r = np.asarray(realized_returns_pct, dtype=np.float64)
     if p.shape != r.shape:
         raise EvaluationError(f"length mismatch: {p.shape} vs {r.shape}")
-    if np.any(np.abs(r) >= 100.0):
-        worst = float(np.max(np.abs(r)))
-        raise EvaluationError(f"daily return of {worst}% breaks the data contract (|r| < 100)")
+    _check_returns(r)
     if short_on_down:
         return np.where(p == 1, r, -r)
     return np.where(p == 1, r, 0.0)
@@ -165,27 +169,38 @@ def equity_curve_pct(daily_returns_pct) -> np.ndarray:
     return (np.cumprod(1.0 + r / 100.0) - 1.0) * 100.0
 
 
-def backtest(predictions, realized_returns_pct, short_on_down: bool = True) -> float:
-    """Compounded strategy return over the window, in percent."""
-    return compound_pct(strategy_returns(predictions, realized_returns_pct, short_on_down))
-
-
 def nnp(realized_returns_pct) -> float:
     """Buy-and-hold (always long) compounded return over the same window."""
     r = np.asarray(realized_returns_pct, dtype=np.float64)
-    if np.any(np.abs(r) >= 100.0):
-        worst = float(np.max(np.abs(r)))
-        raise EvaluationError(f"daily return of {worst}% breaks the data contract (|r| < 100)")
+    _check_returns(r)
     return compound_pct(r)
 
 
+def window_backtest(predictions, realized_returns_pct, short_on_down: bool = True):
+    """(strategy return, buy-and-hold return, strategy curve, buy-and-hold curve), in percent."""
+    daily = strategy_returns(predictions, realized_returns_pct, short_on_down)
+    return (
+        compound_pct(daily),
+        nnp(realized_returns_pct),
+        equity_curve_pct(daily),
+        equity_curve_pct(realized_returns_pct),
+    )
+
+
+def backtest(predictions, realized_returns_pct, short_on_down: bool = True) -> float:
+    """Compounded strategy return over the window, in percent."""
+    return window_backtest(predictions, realized_returns_pct, short_on_down)[0]
+
+
 def evaluate_pair(
-    model,
+    model_id: str,
+    scores,
     window: LabeledDataset,
     run_id: str,
     short_on_down: bool = True,
 ) -> PairEvaluation:
-    """Score one trained pair on one chronological window.
+    """Score the model ``model_id`` on one chronological window from its
+    class-1 ``scores`` on the window's rows; a score >= 0.5 predicts 1.
 
     Raises :class:`EvaluationError` when the window's labels are a single
     class; the caller records the pair as failed rather than crashing.
@@ -195,15 +210,14 @@ def evaluate_pair(
     if len(np.unique(window.y)) < 2:
         raise EvaluationError("degenerate window: labels are a single class")
 
-    scores = model.score_samples(window.X)
     predictions = (scores >= 0.5).astype(np.int64)
 
     accuracy, precision, recall, f1 = confusion_metrics(predictions, window.y)
     balanced = normalized_acc(predictions, window.y)
     area = auc(scores, window.y)
-    daily = strategy_returns(predictions, window.returns, short_on_down)
-    strat_pct = compound_pct(daily)
-    base_pct = nnp(window.returns)
+    strat_pct, base_pct, strat_curve, base_curve = window_backtest(
+        predictions, window.returns, short_on_down
+    )
 
     metrics = MetricSet(
         accuracy=accuracy,
@@ -219,7 +233,7 @@ def evaluate_pair(
     record = EvaluationRecord(
         run_id=run_id,
         instrument=window.symbol,
-        model=model.spec.canonical_id if hasattr(model, "spec") else model.kind,
+        model=model_id,
         window_start=window.dates[0],
         window_end=window.dates[-1],
         metrics=metrics,
@@ -228,8 +242,8 @@ def evaluate_pair(
     return PairEvaluation(
         record=record,
         dates=window.dates,
-        strategy_cum_pct=equity_curve_pct(daily),
-        normal_cum_pct=equity_curve_pct(window.returns),
+        strategy_cum_pct=strat_curve,
+        normal_cum_pct=base_curve,
         predictions=predictions,
     )
 

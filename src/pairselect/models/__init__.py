@@ -150,8 +150,12 @@ def grid_combinations(kind: str, grid: Mapping[str, tuple] | None = None) -> lis
 
 @dataclass
 class GridSearchResult:
+    """The winner with its ``score_samples`` on the validation rows, kept so
+    they are scored once, and the accuracy of their 0.5 threshold."""
+
     spec: ClassifierSpec
     model: Classifier
+    validation_scores: np.ndarray
     validation_accuracy: float
     trials: list[tuple[str, float | None, str | None]]  # (canonical_id, accuracy, error)
 
@@ -176,7 +180,8 @@ def grid_search(
     if not combos:
         raise ConfigError(f"empty grid for model kind {kind!r}")
 
-    best: tuple[float, ClassifierSpec, Classifier] | None = None
+    val_y = np.asarray(val_y)
+    best: GridSearchResult | None = None
     trials: list[tuple[str, float | None, str | None]] = []
     for spec in combos:
         try:
@@ -184,14 +189,15 @@ def grid_search(
         except TrainingError as exc:
             trials.append((spec.canonical_id, None, str(exc)))
             continue
-        acc = float((model.predict(val_X) == np.asarray(val_y)).mean())
+        scores = model.score_samples(val_X)
+        acc = float(((scores >= 0.5) == val_y).mean())  # the accuracy of predict()
         trials.append((spec.canonical_id, acc, None))
-        if best is None or acc > best[0]:
-            best = (acc, spec, model)
+        if best is None or acc > best.validation_accuracy:
+            best = GridSearchResult(spec, model, scores, acc, trials)
     if best is None:
         failures = "; ".join(f"{cid}: {err}" for cid, _, err in trials)
         raise TrainingError(f"every grid combination failed for {kind!r}: {failures}")
-    return GridSearchResult(spec=best[1], model=best[2], validation_accuracy=best[0], trials=trials)
+    return best
 
 
 def save_model(model: Classifier, path) -> None:

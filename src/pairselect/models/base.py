@@ -2,8 +2,10 @@
 
 Every model exposes ``score_samples`` returning a class-1 score in
 [0, 1]; ``predict`` is always the 0.5 threshold on that score, so the
-two can never disagree.  Scale-sensitive kinds standardize features with
-statistics captured from their own training set.
+two can never disagree.  ``Classifier`` checks the inputs and, for kinds
+with ``standardize = True``, scales features by statistics of their own
+training set; subclasses implement ``_fit(Z, y, rng)`` and ``_score(Z)``
+on the resulting matrix ``Z``.
 """
 
 from __future__ import annotations
@@ -67,21 +69,32 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class Classifier:
-    """Base for all zoo members; subclasses implement ``_fit`` and ``score_samples``."""
+    """Base for all zoo members; subclasses implement ``_fit`` and ``_score``."""
 
     kind = "base"
+    standardize = False  # scale-sensitive kinds set this to True
 
     def fit(self, X, y, seed: int = 0) -> "Classifier":
         X = as_matrix(X)
         y = np.asarray(y, dtype=np.int64)
         check_training_data(X, y)
+        if self.standardize:
+            self._std = Standardizer().fit(X)
+            X = self._std.transform(X)
         self._fit(X, y, np.random.default_rng(seed))
         return self
 
-    def _fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
+    def score_samples(self, X) -> np.ndarray:
+        X = as_matrix(X)
+        check_query(X)
+        if self.standardize:
+            X = self._std.transform(X)
+        return self._score(X)
+
+    def _fit(self, Z: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def score_samples(self, X) -> np.ndarray:
+    def _score(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def predict(self, X) -> np.ndarray:

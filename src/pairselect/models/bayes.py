@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, as_matrix, check_query
+from .base import Classifier
 
 
 class GaussianNBModel(Classifier):
@@ -40,9 +40,7 @@ class GaussianNBModel(Classifier):
             )
         return jll
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
+    def _score(self, X) -> np.ndarray:
         jll = self._joint_log_likelihood(X)
         shifted = jll - jll.max(axis=1, keepdims=True)
         expd = np.exp(shifted)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from .base import Classifier, Standardizer, as_matrix, check_query, sigmoid
+from .base import Classifier, sigmoid
 
 
 class LogisticRegressionModel(Classifier):
@@ -16,15 +16,14 @@ class LogisticRegressionModel(Classifier):
     """
 
     kind = "logistic"
+    standardize = True
 
     def __init__(self, C: float = 0.1, max_iter: int = 10_000, tol: float = 1e-6):
         self.C = float(C)
         self.max_iter = int(max_iter)
         self.tol = float(tol)
 
-    def _fit(self, X, y, rng) -> None:
-        self._std = Standardizer().fit(X)
-        Z = self._std.transform(X)
+    def _fit(self, Z, y, rng) -> None:
         s = 2.0 * y - 1.0
         n, d = Z.shape
 
@@ -49,10 +48,7 @@ class LogisticRegressionModel(Classifier):
         self.coef_ = result.x[:d]
         self.intercept_ = result.x[d]
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
-        Z = self._std.transform(X)
+    def _score(self, Z) -> np.ndarray:
         return sigmoid(Z @ self.coef_ + self.intercept_)
 
 
@@ -66,15 +62,15 @@ class LinearSVMModel(Classifier):
     """
 
     kind = "linear_svm"
+    standardize = True
 
     def __init__(self, C: float = 1.0, max_iter: int = 10_000, tol: float = 1e-6):
         self.C = float(C)
         self.max_iter = int(max_iter)
         self.tol = float(tol)
 
-    def _fit(self, X, y, rng) -> None:
-        self._std = Standardizer().fit(X)
-        Z = np.column_stack([self._std.transform(X), np.ones(len(X))])
+    def _fit(self, Z, y, rng) -> None:
+        Z = np.column_stack([Z, np.ones(len(Z))])
         s = 2.0 * y - 1.0
         n, d = Z.shape
         lam = 1.0 / (self.C * n)
@@ -99,8 +95,5 @@ class LinearSVMModel(Classifier):
         self.coef_ = w[:-1]
         self.intercept_ = w[-1]
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
-        Z = self._std.transform(X)
+    def _score(self, Z) -> np.ndarray:
         return sigmoid(Z @ self.coef_ + self.intercept_)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, Standardizer, as_matrix, check_query, sigmoid
+from .base import Classifier, sigmoid
 
 
 class MLPModel(Classifier):
@@ -16,6 +16,7 @@ class MLPModel(Classifier):
     """
 
     kind = "mlp"
+    standardize = True
 
     def __init__(
         self,
@@ -33,9 +34,7 @@ class MLPModel(Classifier):
         self.patience = int(patience)
         self.learning_rate = float(learning_rate)
 
-    def _fit(self, X, y, rng) -> None:
-        self._std = Standardizer().fit(X)
-        Z = self._std.transform(X)
+    def _fit(self, Z, y, rng) -> None:
         n, d = Z.shape
         h = self.hidden_units
         yf = y.astype(np.float64)
@@ -85,10 +84,7 @@ class MLPModel(Classifier):
                     break
         self._params = params
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
-        Z = self._std.transform(X)
+    def _score(self, Z) -> np.ndarray:
         W1, b1, W2, b2 = self._params
         H = np.maximum(Z @ W1 + b1, 0.0)
         return sigmoid((H @ W2).ravel() + b2[0])

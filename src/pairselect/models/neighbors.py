@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, Standardizer, as_matrix, check_query
+from .base import Classifier
 
 
 class KNeighborsModel(Classifier):
@@ -16,19 +16,16 @@ class KNeighborsModel(Classifier):
     """
 
     kind = "kneighbors"
+    standardize = True
 
     def __init__(self, n_neighbors: int = 7):
         self.n_neighbors = int(n_neighbors)
 
-    def _fit(self, X, y, rng) -> None:
-        self._std = Standardizer().fit(X)
-        self._Z = self._std.transform(X)
+    def _fit(self, Z, y, rng) -> None:
+        self._Z = Z
         self._y = y.astype(np.float64)
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
-        Q = self._std.transform(X)
+    def _score(self, Q) -> np.ndarray:
         # squared distances via the expansion; clip tiny negatives from rounding
         d2 = np.maximum(
             (Q * Q).sum(axis=1)[:, None] - 2.0 * Q @ self._Z.T + (self._Z * self._Z).sum(axis=1)[None, :],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, Standardizer, as_matrix, check_query, sigmoid
+from .base import Classifier, sigmoid
 
 
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -25,6 +25,7 @@ class KernelSVMModel(Classifier):
     """
 
     kind = "kernel_svm"
+    standardize = True
 
     def __init__(self, C: float = 1.0, gamma: float | str = "scale", max_iter: int = 5_000, tol: float = 1e-6):
         self.C = float(C)
@@ -32,9 +33,7 @@ class KernelSVMModel(Classifier):
         self.max_iter = int(max_iter)
         self.tol = float(tol)
 
-    def _fit(self, X, y, rng) -> None:
-        self._std = Standardizer().fit(X)
-        Z = self._std.transform(X)
+    def _fit(self, Z, y, rng) -> None:
         n, d = Z.shape
         if self.gamma == "scale":
             var = float(Z.var())
@@ -71,10 +70,7 @@ class KernelSVMModel(Classifier):
         self._alpha_s = (alpha * s)[keep]
         self._support = Z[keep]
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
-        Z = self._std.transform(X)
+    def _score(self, Z) -> np.ndarray:
         if len(self._support) == 0:
             return np.full(len(Z), 0.5)
         margin = (_rbf(Z, self._support, self._gamma) + 1.0) @ self._alpha_s

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, as_matrix, check_query, sigmoid
+from .base import Classifier, sigmoid
 
 _EPS_IMPROVEMENT = 1e-12
 
@@ -183,9 +183,7 @@ class DecisionTreeModel(Classifier):
             min_samples_leaf=self.min_samples_leaf,
         )
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
+    def _score(self, X) -> np.ndarray:
         return self._tree.predict_value(X)
 
 
@@ -234,9 +232,7 @@ class RandomForestModel(Classifier):
         """(n_trees, n_samples) matrix of individual tree votes."""
         return np.stack([(t.predict_value(X) >= 0.5).astype(np.int64) for t in self._trees])
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
+    def _score(self, X) -> np.ndarray:
         return self.tree_votes(X).mean(axis=0)
 
 
@@ -296,7 +292,5 @@ class GradientBoostingModel(Classifier):
             margin = margin + self.learning_rate * tree.predict_value(X)
         return margin
 
-    def score_samples(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        check_query(X)
+    def _score(self, X) -> np.ndarray:
         return sigmoid(self.decision_margin(X))

@@ -12,6 +12,7 @@ store (and the second layer) grows window by window.
 from __future__ import annotations
 
 import datetime as dt
+import inspect
 import logging
 import re
 from dataclasses import dataclass, field
@@ -25,12 +26,9 @@ from .errors import ConfigError, EvaluationError, PairselectError, TrainingError
 from .evaluation import (
     EvaluationRecord,
     PairEvaluation,
-    compound_pct,
-    equity_curve_pct,
     evaluate_pair,
-    nnp,
     records_to_csv,
-    strategy_returns,
+    window_backtest,
 )
 from .features import FeatureParams, LabeledDataset, build_dataset, feature_matrix
 from .meta import (
@@ -71,11 +69,19 @@ class RunConfig:
     def validate(self) -> None:
         if not self.sources:
             raise ConfigError("config lists no instruments")
+        if not self.model_kinds:
+            raise ConfigError("config enables no model kinds")
         for kind in self.model_kinds:
             if kind not in REGISTRY:
                 raise ConfigError(f"unknown model kind {kind!r}; known: {sorted(REGISTRY)}")
-        if not self.model_kinds:
-            raise ConfigError("config enables no model kinds")
+            # checked against the constructor, since knobs beyond the defaults are allowed
+            accepted = inspect.signature(REGISTRY[kind].factory).parameters
+            for axis in self.grids.get(kind, {}):
+                if axis not in accepted:
+                    raise ConfigError(
+                        f"grid axis {axis!r} is not a parameter of model kind {kind!r}; "
+                        f"known: {sorted(accepted)}"
+                    )
         if self.selection_mode not in SELECTION_MODES:
             raise ConfigError(
                 f"unknown selection mode {self.selection_mode!r}; expected one of {SELECTION_MODES}"
@@ -178,7 +184,11 @@ def _evaluate_window(
                     seed_parts=(config.seed, dataset.symbol),
                 )
                 pair_eval = evaluate_pair(
-                    result.model, validation, run_id, short_on_down=config.short_on_down
+                    result.spec.canonical_id,
+                    result.validation_scores,
+                    validation,
+                    run_id,
+                    short_on_down=config.short_on_down,
                 )
             except (TrainingError, EvaluationError) as exc:
                 logger.warning("pair (%s, %s) failed: %s", dataset.symbol, kind, exc)
@@ -191,16 +201,18 @@ def _evaluate_window(
 
 def _test_outcome(model, window: LabeledDataset, short_on_down: bool) -> TestOutcome:
     predictions = model.predict(window.X)
-    daily = strategy_returns(predictions, window.returns, short_on_down)
+    strat_pct, base_pct, strat_curve, base_curve = window_backtest(
+        predictions, window.returns, short_on_down
+    )
     return TestOutcome(
         instrument=window.symbol,
         model=model.spec.canonical_id,
         dates=window.dates,
         accuracy=float((predictions == window.y).mean()),
-        strategy_return_pct=compound_pct(daily),
-        nnp_pct=nnp(window.returns),
-        strategy_cum_pct=equity_curve_pct(daily),
-        normal_cum_pct=equity_curve_pct(window.returns),
+        strategy_return_pct=strat_pct,
+        nnp_pct=base_pct,
+        strategy_cum_pct=strat_curve,
+        normal_cum_pct=base_curve,
     )
 
 

@@ -108,3 +108,10 @@ def test_cli_exit_codes(tmp_path, config_file):
     assert main(["run", "--config", str(tmp_path / "missing.yml")]) == 2
     # empty store -> config error for report
     assert main(["report", "--config", str(config_file)]) == 2
+
+
+def test_cli_misspelled_grid_axis_is_a_config_error(tmp_path, caplog):
+    path = tmp_path / "typo.yml"
+    path.write_text(CONFIG_TEMPLATE.format(length=600) + "grids: {logistic: {Cee: [0.1]}}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert any("'Cee'" in m and "logistic" in m for m in caplog.messages)

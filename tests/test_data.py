@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 from pairselect.data import (
-    InstrumentSource,
     SyntheticSpec,
     generate_synthetic_series,
-    load_universe,
     parse_ohlcv_csv,
     serialize_ohlcv_csv,
 )
 from pairselect.errors import ConfigError, ParseError, ValidationError
-
-from helpers import make_series
 
 HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
 
@@ -155,37 +151,3 @@ def test_synthetic_spec_validation():
     with pytest.raises(ConfigError):
         SyntheticSpec(kind="persistent_sign", length=500, persistence=1.5).validate()
 
-
-def test_load_universe_mixed_sources(tmp_path):
-    series = make_series([100 + i for i in range(150)], symbol="FILE1")
-    path = tmp_path / "FILE1.csv"
-    path.write_bytes(serialize_ohlcv_csv(series))
-    sources = [
-        InstrumentSource("FILE1", csv_path=path),
-        InstrumentSource("SYN1", synthetic=SyntheticSpec(kind="random_walk", length=150, seed=1)),
-    ]
-    loaded = load_universe(sources)
-    assert [s.symbol for s in loaded] == ["FILE1", "SYN1"]
-
-
-def test_load_universe_missing_file_names_instrument(tmp_path):
-    sources = [InstrumentSource("GHOST", csv_path=tmp_path / "missing.csv")]
-    with pytest.raises(ConfigError, match="GHOST"):
-        load_universe(sources)
-
-
-def test_load_universe_rejects_empty_and_short(tmp_path):
-    with pytest.raises(ConfigError, match="no instruments"):
-        load_universe([])
-    series = make_series([100 + i for i in range(40)], symbol="SHORT")
-    path = tmp_path / "SHORT.csv"
-    path.write_bytes(serialize_ohlcv_csv(series))
-    with pytest.raises(ValidationError, match="SHORT"):
-        load_universe([InstrumentSource("SHORT", csv_path=path)], min_bars=60)
-
-
-def test_load_universe_rejects_duplicate_symbols():
-    spec = SyntheticSpec(kind="random_walk", length=150, seed=1)
-    sources = [InstrumentSource("A", synthetic=spec), InstrumentSource("A", synthetic=spec)]
-    with pytest.raises(ConfigError, match="duplicate"):
-        load_universe(sources)

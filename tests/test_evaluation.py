@@ -199,7 +199,7 @@ def _trained_pair(seed=0, n=200):
 
 def test_evaluate_pair_record_fields():
     model, window = _trained_pair()
-    pe = evaluate_pair(model, window, run_id="r1")
+    pe = evaluate_pair(model.spec.canonical_id, model.score_samples(window.X), window, run_id="r1")
     rec = pe.record
     assert rec.instrument == "TEST"
     assert rec.model.startswith("gaussian_nb(")
@@ -212,17 +212,8 @@ def test_evaluate_pair_record_fields():
 
 
 def test_evaluate_pair_always_long_model():
-    class AlwaysLong:
-        kind = "stub"
-
-        def score_samples(self, X):
-            return np.ones(len(X))
-
-        def predict(self, X):
-            return np.ones(len(X), dtype=int)
-
     model, window = _trained_pair(seed=2)
-    pe = evaluate_pair(AlwaysLong(), window, run_id="r1")
+    pe = evaluate_pair("stub", np.ones(len(window)), window, run_id="r1")
     assert pe.record.metrics.backtest_return_pct == pe.record.metrics.nnp_pct
     assert pe.record.metrics.pred_pos_rate == 1.0
     np.testing.assert_allclose(pe.strategy_cum_pct, pe.normal_cum_pct)
@@ -233,12 +224,12 @@ def test_evaluate_pair_degenerate_window_fails():
     constant = make_series([100.0] * 80)
     flat_ds = build_dataset(constant).take(range(0, 10))
     with pytest.raises(EvaluationError, match="degenerate"):
-        evaluate_pair(model, flat_ds, run_id="r1")
+        evaluate_pair(model.spec.canonical_id, np.ones(len(flat_ds)), flat_ds, run_id="r1")
 
 
 def test_records_csv_column_order():
     model, window = _trained_pair(seed=4)
-    pe = evaluate_pair(model, window, run_id="r1")
+    pe = evaluate_pair(model.spec.canonical_id, model.score_samples(window.X), window, run_id="r1")
     text = records_to_csv([pe.record])
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)

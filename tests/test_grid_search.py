@@ -50,6 +50,19 @@ def test_tie_breaks_to_earliest_grid_entry(planted):
     assert result.spec.params["max_depth"] == 6
 
 
+def test_winner_keeps_the_scores_it_was_chosen_on(planted):
+    lx, ly, vx, vy = planted
+    # separable data: both sizes reach the same accuracy with different scores
+    result = grid_search(
+        "kneighbors", {"n_neighbors": (3, 11)}, lx, ly, vx, vy, seed_parts=(0, "S")
+    )
+    accs = [acc for _, acc, _ in result.trials]
+    assert accs[0] == accs[1]
+    assert result.spec.params["n_neighbors"] == 3
+    assert result.validation_scores.tobytes() == result.model.score_samples(vx).tobytes()
+    assert result.validation_accuracy == np.mean((result.validation_scores >= 0.5) == vy)
+
+
 def test_all_failures_raise_with_reasons(planted):
     lx, _, vx, vy = planted
     single = np.zeros(len(lx), dtype=int)

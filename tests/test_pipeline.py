@@ -200,16 +200,7 @@ def test_always_long_pair_curves_coincide(tmp_path):
     spec = SyntheticSpec(kind="random_walk", length=300, seed=8)
     ds = build_dataset(generate_synthetic_series(spec, "RW"))
 
-    class AlwaysLong:
-        kind = "stub"
-
-        def score_samples(self, X):
-            return np.ones(len(X))
-
-        def predict(self, X):
-            return np.ones(len(X), dtype=int)
-
-    pe = evaluate_pair(AlwaysLong(), ds.take(range(0, 60)), run_id="x")
+    pe = evaluate_pair("stub", np.ones(60), ds.take(range(0, 60)), run_id="x")
     np.testing.assert_allclose(pe.strategy_cum_pct, pe.normal_cum_pct)
 
 
@@ -243,6 +234,32 @@ def test_all_instruments_failing_is_fatal(tmp_path):
     )
     with pytest.raises(ConfigError, match="no instrument survived"):
         run_training_cycle(config)
+
+
+def test_duplicate_symbols_rejected(tmp_path):
+    trend = synthetic_sources(n_trend=1, n_noise=0)
+    config = make_config(tmp_path, sources=trend + trend)
+    with pytest.raises(ConfigError, match="duplicate"):
+        run_training_cycle(config)
+
+
+def test_mixed_csv_and_synthetic_universe(tmp_path, caplog):
+    import logging
+
+    from pairselect.data import generate_synthetic_series, serialize_ohlcv_csv
+
+    spec = SyntheticSpec(kind="persistent_sign", length=600, persistence=0.7, seed=9)
+    csv_sources = []
+    for symbol, length in (("FILE0", 600), ("SHORT", 40)):
+        path = tmp_path / f"{symbol}.csv"
+        path.write_bytes(serialize_ohlcv_csv(generate_synthetic_series(spec, symbol).truncate(length)))
+        csv_sources.append(InstrumentSource(symbol, csv_path=path))
+    sources = (*csv_sources, *synthetic_sources(n_trend=0, n_noise=1))
+    config = make_config(tmp_path, sources=sources, kinds=("gaussian_nb",))
+    with caplog.at_level(logging.WARNING):
+        report = run_training_cycle(config)
+    assert any("SHORT" in m and "below the required minimum" in m for m in caplog.messages)
+    assert {r.instrument for r in report.records} == {"FILE0", "NOISE0"}
 
 
 def test_config_validation():
