@@ -1,12 +1,16 @@
 """YAML run-configuration loader.
 
-Key names are documented in the README; everything except ``seed`` and
-``instruments`` has a default.  Relative CSV paths resolve against the
-config file's directory.
+The keys and their defaults are the fields of :class:`RunConfig`
+(``split:`` holds its ``test_frac`` and ``val_frac``),
+:class:`FeatureParams` (``features:``) and :class:`SyntheticSpec` (an
+instrument's ``synthetic:``); the loader passes on only the keys a file
+sets.  Everything except ``seed`` and ``instruments`` has a default.
+Relative CSV paths resolve against the config file's directory.
 """
 
 from __future__ import annotations
 
+import typing
 from pathlib import Path
 
 import yaml
@@ -14,43 +18,68 @@ import yaml
 from .data import InstrumentSource, SyntheticSpec
 from .errors import ConfigError
 from .features import FeatureParams
-from .meta import MODE_PROFITABLE_LIST
-from .models import KIND_ORDER
 from .pipeline import RunConfig
 
-_SYNTH_KEYS = {"kind", "length", "volatility_pct", "persistence", "seed"}
+
+def _construct(cls, values: dict, where):
+    """``cls(**values)`` with each value converted to its field's declared type.
+
+    A key ``cls`` does not declare fails in its constructor, and that
+    failure (like a bad value) becomes a :class:`ConfigError`.
+    """
+    declared = typing.get_type_hints(cls)
+    converted = {}
+    for key, value in values.items():
+        kind = declared.get(key)
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
+        try:
+            converted[key] = kind(value) if kind in (int, float, str) else value
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where}: {key!r} must be of type {kind.__name__}, got {value!r}"
+            ) from None
+    try:
+        return cls(**converted)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _mapping(doc: dict, key: str, where) -> dict:
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: {key!r} must be a mapping")
+    return section
 
 
 def _parse_source(entry, base: Path) -> InstrumentSource:
     if not isinstance(entry, dict) or "symbol" not in entry:
         raise ConfigError(f"instrument entry needs a symbol: {entry!r}")
     symbol = str(entry["symbol"])
+    where = f"instrument {symbol!r}"
     csv_path = entry.get("csv")
-    synthetic = entry.get("synthetic")
-    if (csv_path is None) == (synthetic is None):
-        raise ConfigError(f"instrument {symbol!r} needs exactly one of 'csv' or 'synthetic'")
     if csv_path is not None:
-        path = Path(csv_path)
-        if not path.is_absolute():
-            path = base / path
-        return InstrumentSource(symbol=symbol, csv_path=path)
-    if not isinstance(synthetic, dict):
-        raise ConfigError(f"instrument {symbol!r}: 'synthetic' must be a mapping")
-    unknown = set(synthetic) - _SYNTH_KEYS
-    if unknown:
-        raise ConfigError(f"instrument {symbol!r}: unknown synthetic keys {sorted(unknown)}")
-    try:
-        spec = SyntheticSpec(
-            kind=str(synthetic.get("kind", "random_walk")),
-            length=int(synthetic["length"]),
-            volatility_pct=float(synthetic.get("volatility_pct", 1.0)),
-            persistence=float(synthetic.get("persistence", 0.65)),
-            seed=int(synthetic.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"instrument {symbol!r}: synthetic spec missing {exc}") from None
-    spec.validate()
-    return InstrumentSource(symbol=symbol, synthetic=spec)
+        csv_path = Path(csv_path)
+        if not csv_path.is_absolute():
+            csv_path = base / csv_path
+    synthetic = None
+    if entry.get("synthetic") is not None:
+        values = {"kind": "random_walk", **_mapping(entry, "synthetic", where)}
+        synthetic = _construct(SyntheticSpec, values, f"{where} synthetic")
+        synthetic.validate()
+    source = InstrumentSource(symbol=symbol, csv_path=csv_path, synthetic=synthetic)
+    source.validate()
+    return source
+
+
+def _parse_grids(doc: dict, where) -> dict:
+    grids = _mapping(doc, "grids", where)
+    for kind, axes in grids.items():
+        if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
+            raise ConfigError(
+                f"{where}: grid for model kind {kind!r} must map each parameter to a list of values"
+            )
+    return {kind: {k: tuple(v) for k, v in axes.items()} for kind, axes in grids.items()}
 
 
 def load_config(
@@ -88,23 +117,6 @@ def load_config(
         raise ConfigError(f"{path}: config lists no instruments")
     sources = tuple(_parse_source(entry, base) for entry in instruments)
 
-    feat = doc.get("features") or {}
-    try:
-        features = FeatureParams(
-            sma_period=int(feat.get("sma_period", 14)),
-            rsi_period=int(feat.get("rsi_period", 14)),
-            macd_fast=int(feat.get("macd_fast", 12)),
-            macd_slow=int(feat.get("macd_slow", 26)),
-            macd_signal=int(feat.get("macd_signal", 9)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad features section: {exc}") from None
-
-    split = doc.get("split") or {}
-    models = doc.get("models")
-    grids_doc = doc.get("grids") or {}
-    grids = {kind: {k: tuple(v) for k, v in axes.items()} for kind, axes in grids_doc.items()}
-
     out_dir = Path(out_override if out_override is not None else doc.get("out_dir", "out"))
     if not out_dir.is_absolute():
         out_dir = base / out_dir
@@ -113,19 +125,28 @@ def load_config(
     if not store_path.is_absolute():
         store_path = base / store_path
 
-    config = RunConfig(
-        sources=sources,
-        seed=int(seed),
-        out_dir=out_dir,
-        store_path=store_path,
-        features=features,
-        test_frac=float(split.get("test_frac", 0.05)),
-        val_frac=float(split.get("val_frac", 0.10)),
-        model_kinds=tuple(models) if models else KIND_ORDER,
-        grids=grids,
-        selection_mode=str(doc.get("selection_mode", MODE_PROFITABLE_LIST)),
-        short_on_down=bool(doc.get("short_on_down", True)),
-        windows=int(doc.get("windows", 1)),
-    )
+    features = _mapping(doc, "features", path)
+    settings = {
+        "sources": sources,
+        "seed": seed,
+        "out_dir": out_dir,
+        "store_path": store_path,
+        "features": _construct(FeatureParams, features, f"{path} features"),
+        "grids": _parse_grids(doc, path),
+    }
+    split = _mapping(doc, "split", path)
+    unknown = set(split) - {"test_frac", "val_frac"}
+    if unknown:
+        raise ConfigError(f"{path}: unknown split keys {sorted(unknown)}")
+    settings.update(split)
+    if "models" in doc:
+        if not isinstance(doc["models"], list):
+            raise ConfigError(f"{path}: 'models' must be a list of model kinds")
+        settings["model_kinds"] = tuple(doc["models"])
+    for key in ("selection_mode", "short_on_down", "windows"):
+        if key in doc:
+            settings[key] = doc[key]
+
+    config = _construct(RunConfig, settings, path)
     config.validate()
     return config

@@ -10,27 +10,13 @@ from __future__ import annotations
 
 import datetime as dt
 import io
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EvaluationError
 from .features import LabeledDataset
-
-CSV_COLUMNS = (
-    "dataset",
-    "model",
-    "accuracy",
-    "normalized_acc",
-    "precision",
-    "recall",
-    "f1",
-    "auc",
-    "pred_pos_rate",
-    "backtest_return_pct",
-    "nnp_pct",
-    "profit_label",
-)
 
 
 @dataclass(frozen=True)
@@ -46,6 +32,11 @@ class MetricSet:
     nnp_pct: float
 
 
+_METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
+CSV_COLUMNS = ("dataset", "model") + _METRIC_NAMES + ("profit_label",)
+_metric_values = operator.attrgetter(*_METRIC_NAMES)
+
+
 @dataclass(frozen=True)
 class EvaluationRecord:
     """One (instrument, model) pair's metric vector for one window."""
@@ -57,17 +48,6 @@ class EvaluationRecord:
     window_end: dt.date
     metrics: MetricSet
     profit_label: int
-
-
-@dataclass(frozen=True)
-class PairEvaluation:
-    """An evaluation record together with its retained equity curves."""
-
-    record: EvaluationRecord
-    dates: tuple[dt.date, ...]
-    strategy_cum_pct: np.ndarray
-    normal_cum_pct: np.ndarray
-    predictions: np.ndarray
 
 
 def _as_int_arrays(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -176,6 +156,11 @@ def nnp(realized_returns_pct) -> float:
     return compound_pct(r)
 
 
+def backtest(predictions, realized_returns_pct, short_on_down: bool = True) -> float:
+    """Compounded strategy return over the window, in percent."""
+    return compound_pct(strategy_returns(predictions, realized_returns_pct, short_on_down))
+
+
 def window_backtest(predictions, realized_returns_pct, short_on_down: bool = True):
     """(strategy return, buy-and-hold return, strategy curve, buy-and-hold curve), in percent."""
     daily = strategy_returns(predictions, realized_returns_pct, short_on_down)
@@ -187,20 +172,16 @@ def window_backtest(predictions, realized_returns_pct, short_on_down: bool = Tru
     )
 
 
-def backtest(predictions, realized_returns_pct, short_on_down: bool = True) -> float:
-    """Compounded strategy return over the window, in percent."""
-    return window_backtest(predictions, realized_returns_pct, short_on_down)[0]
-
-
 def evaluate_pair(
     model_id: str,
     scores,
     window: LabeledDataset,
     run_id: str,
     short_on_down: bool = True,
-) -> PairEvaluation:
-    """Score the model ``model_id`` on one chronological window from its
-    class-1 ``scores`` on the window's rows; a score >= 0.5 predicts 1.
+) -> EvaluationRecord:
+    """The evaluation record of the model ``model_id`` on one chronological
+    window, from its class-1 ``scores`` on the window's rows; a score
+    >= 0.5 predicts 1.
 
     Raises :class:`EvaluationError` when the window's labels are a single
     class; the caller records the pair as failed rather than crashing.
@@ -213,24 +194,19 @@ def evaluate_pair(
     predictions = (scores >= 0.5).astype(np.int64)
 
     accuracy, precision, recall, f1 = confusion_metrics(predictions, window.y)
-    balanced = normalized_acc(predictions, window.y)
-    area = auc(scores, window.y)
-    strat_pct, base_pct, strat_curve, base_curve = window_backtest(
-        predictions, window.returns, short_on_down
-    )
-
+    strat_pct = backtest(predictions, window.returns, short_on_down)
     metrics = MetricSet(
         accuracy=accuracy,
-        normalized_acc=balanced,
+        normalized_acc=normalized_acc(predictions, window.y),
         precision=precision,
         recall=recall,
         f1=f1,
-        auc=area,
+        auc=auc(scores, window.y),
         pred_pos_rate=pred_pos_rate(predictions),
         backtest_return_pct=strat_pct,
-        nnp_pct=base_pct,
+        nnp_pct=nnp(window.returns),
     )
-    record = EvaluationRecord(
+    return EvaluationRecord(
         run_id=run_id,
         instrument=window.symbol,
         model=model_id,
@@ -239,29 +215,14 @@ def evaluate_pair(
         metrics=metrics,
         profit_label=1 if strat_pct > 0.0 else 0,
     )
-    return PairEvaluation(
-        record=record,
-        dates=window.dates,
-        strategy_cum_pct=strat_curve,
-        normal_cum_pct=base_curve,
-        predictions=predictions,
-    )
 
 
 def record_row(record: EvaluationRecord) -> list[str]:
-    m = record.metrics
+    """The record's CSV_COLUMNS values as text; floats round-trip through repr."""
     return [
         record.instrument,
         record.model,
-        repr(m.accuracy),
-        repr(m.normalized_acc),
-        repr(m.precision),
-        repr(m.recall),
-        repr(m.f1),
-        repr(m.auc),
-        repr(m.pred_pos_rate),
-        repr(m.backtest_return_pct),
-        repr(m.nnp_pct),
+        *map(repr, _metric_values(record.metrics)),
         str(record.profit_label),
     ]
 

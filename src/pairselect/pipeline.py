@@ -23,13 +23,7 @@ import numpy as np
 
 from .data import InstrumentSource, PriceSeries, load_series
 from .errors import ConfigError, EvaluationError, PairselectError, TrainingError
-from .evaluation import (
-    EvaluationRecord,
-    PairEvaluation,
-    evaluate_pair,
-    records_to_csv,
-    window_backtest,
-)
+from .evaluation import EvaluationRecord, evaluate_pair, records_to_csv, window_backtest
 from .features import FeatureParams, LabeledDataset, build_dataset, feature_matrix
 from .meta import (
     MODE_PROFITABLE_LIST,
@@ -43,7 +37,14 @@ from .meta import (
 )
 from .models import KIND_ORDER, REGISTRY, grid_search
 from .models.base import derive_seed
-from .splits import SplitView, learn_validation_split, min_dataset_size, walk_forward_plan
+from .splits import (
+    DEFAULT_TEST_FRAC,
+    DEFAULT_VAL_FRAC,
+    SplitView,
+    learn_validation_split,
+    min_dataset_size,
+    walk_forward_plan,
+)
 from .store import RecordStore
 
 logger = logging.getLogger(__name__)
@@ -58,8 +59,8 @@ class RunConfig:
     out_dir: Path
     store_path: Path
     features: FeatureParams = FeatureParams()
-    test_frac: float = 0.05
-    val_frac: float = 0.10
+    test_frac: float = DEFAULT_TEST_FRAC
+    val_frac: float = DEFAULT_VAL_FRAC
     model_kinds: tuple[str, ...] = KIND_ORDER
     grids: Mapping[str, Mapping[str, tuple]] = field(default_factory=dict)
     selection_mode: str = MODE_PROFITABLE_LIST
@@ -71,6 +72,9 @@ class RunConfig:
             raise ConfigError("config lists no instruments")
         if not self.model_kinds:
             raise ConfigError("config enables no model kinds")
+        for kind in self.grids:
+            if kind not in self.model_kinds:
+                raise ConfigError(f"grid given for model kind {kind!r}, which is not enabled")
         for kind in self.model_kinds:
             if kind not in REGISTRY:
                 raise ConfigError(f"unknown model kind {kind!r}; known: {sorted(REGISTRY)}")
@@ -165,8 +169,8 @@ def _evaluate_window(
     datasets: list[LabeledDataset],
     views: list[SplitView],
     run_id: str,
-) -> tuple[list[PairEvaluation], list[FailureRecord], dict]:
-    evaluations: list[PairEvaluation] = []
+) -> tuple[list[EvaluationRecord], list[FailureRecord], dict]:
+    records: list[EvaluationRecord] = []
     failures: list[FailureRecord] = []
     models: dict[tuple[str, str], object] = {}
     for dataset, view in zip(datasets, views):
@@ -183,7 +187,7 @@ def _evaluate_window(
                     validation.y,
                     seed_parts=(config.seed, dataset.symbol),
                 )
-                pair_eval = evaluate_pair(
+                record = evaluate_pair(
                     result.spec.canonical_id,
                     result.validation_scores,
                     validation,
@@ -194,9 +198,9 @@ def _evaluate_window(
                 logger.warning("pair (%s, %s) failed: %s", dataset.symbol, kind, exc)
                 failures.append(FailureRecord(dataset.symbol, kind, str(exc)))
                 continue
-            evaluations.append(pair_eval)
-            models[(dataset.symbol, pair_eval.record.model)] = result.model
-    return evaluations, failures, models
+            records.append(record)
+            models[(dataset.symbol, record.model)] = result.model
+    return records, failures, models
 
 
 def _test_outcome(model, window: LabeledDataset, short_on_down: bool) -> TestOutcome:
@@ -240,10 +244,9 @@ def walk_forward(config: RunConfig, n_windows: int | None = None) -> list[RunRep
         views = [plan[w] for plan in plans]
         prior = store.load()
 
-        evaluations, failures, models = _evaluate_window(config, datasets, views, run_id)
-        if not evaluations:
+        records, failures, models = _evaluate_window(config, datasets, views, run_id)
+        if not records:
             raise TrainingError(f"window {w + 1}: no (instrument, model) pair survived")
-        records = [e.record for e in evaluations]
         store.append(records)
 
         meta_seed = derive_seed(config.seed, run_id)
@@ -330,10 +333,9 @@ def predict_next(config: RunConfig) -> list[NextDayPrediction]:
         learn, validation = learn_validation_split(len(ds), val_frac=config.val_frac)
         views.append(SplitView(learn, validation, range(len(ds), len(ds))))
 
-    evaluations, failures, models = _evaluate_window(config, datasets, views, run_id)
-    if not evaluations:
+    records, failures, models = _evaluate_window(config, datasets, views, run_id)
+    if not records:
         raise TrainingError("no (instrument, model) pair survived")
-    records = [e.record for e in evaluations]
 
     meta_seed = derive_seed(config.seed, run_id)
     store_records = RecordStore(config.store_path).load()

@@ -77,7 +77,7 @@ class RecordStore:
             fields = line.split(",")
             try:
                 records.append(_parse_fields(fields))
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 if i == last_index:
                     logger.warning("%s: ignoring corrupt trailing line: %s", self.path, exc)
                     continue
@@ -91,23 +91,14 @@ class RecordStore:
 def _parse_fields(fields: list[str]) -> EvaluationRecord:
     if len(fields) != len(STORE_COLUMNS):
         raise ValueError(f"expected {len(STORE_COLUMNS)} fields, got {len(fields)}")
-    metrics = MetricSet(
-        accuracy=float(fields[2]),
-        normalized_acc=float(fields[3]),
-        precision=float(fields[4]),
-        recall=float(fields[5]),
-        f1=float(fields[6]),
-        auc=float(fields[7]),
-        pred_pos_rate=float(fields[8]),
-        backtest_return_pct=float(fields[9]),
-        nnp_pct=float(fields[10]),
-    )
+    # the STORE_COLUMNS layout: the metrics are everything between model and profit_label
+    instrument, model, *metrics, profit_label, run_id, window_start, window_end = fields
     return EvaluationRecord(
-        run_id=fields[12],
-        instrument=fields[0],
-        model=fields[1],
-        window_start=dt.date.fromisoformat(fields[13]),
-        window_end=dt.date.fromisoformat(fields[14]),
-        metrics=metrics,
-        profit_label=int(fields[11]),
+        run_id=run_id,
+        instrument=instrument,
+        model=model,
+        window_start=dt.date.fromisoformat(window_start),
+        window_end=dt.date.fromisoformat(window_end),
+        metrics=MetricSet(*map(float, metrics)),
+        profit_label=int(profit_label),
     )

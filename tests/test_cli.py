@@ -3,6 +3,9 @@ import pytest
 from pairselect.cli import main
 from pairselect.config import load_config
 from pairselect.errors import ConfigError
+from pairselect.features import FeatureParams
+from pairselect.pipeline import RunConfig
+from pairselect.splits import DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC
 
 CONFIG_TEMPLATE = """\
 seed: 17
@@ -55,6 +58,53 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.yml"
     path.write_text("seed: 1\ntypo_key: true\ninstruments:\n  - symbol: A\n    synthetic: {kind: random_walk, length: 200}\n")
     with pytest.raises(ConfigError, match="typo_key"):
+        load_config(path)
+
+
+MINIMAL = "seed: 1\ninstruments:\n  - symbol: A\n    synthetic: {kind: random_walk, length: 200}\n"
+
+
+def test_load_config_minimal_yaml_takes_declared_defaults(tmp_path):
+    path = tmp_path / "minimal.yml"
+    path.write_text(MINIMAL)
+    config = load_config(path)
+    declared = RunConfig(sources=config.sources, seed=1, out_dir=".", store_path="s.csv")
+    assert config.features == FeatureParams()
+    assert config.test_frac == DEFAULT_TEST_FRAC
+    assert config.val_frac == DEFAULT_VAL_FRAC
+    for name in ("selection_mode", "short_on_down", "windows", "model_kinds"):
+        assert getattr(config, name) == getattr(declared, name), name
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (MINIMAL + "features: {sma: 20}\n", "sma"),
+        (MINIMAL + "split: {test_fraction: 0.2}\n", "test_fraction"),
+        (MINIMAL.replace("length: 200", "length: 200, volatility: 2.0"), "volatility"),
+    ],
+    ids=["features", "split", "synthetic"],
+)
+def test_load_config_unknown_section_key_is_named(tmp_path, text, key):
+    path = tmp_path / "bad.yml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(path)
+
+
+def test_load_config_short_on_down_must_be_a_boolean(tmp_path):
+    path = tmp_path / "quoted.yml"
+    path.write_text(MINIMAL + 'short_on_down: "false"\n')
+    with pytest.raises(ConfigError, match="short_on_down"):
+        load_config(path)
+    path.write_text(MINIMAL + "short_on_down: false\n")
+    assert load_config(path).short_on_down is False
+
+
+def test_load_config_empty_model_list_enables_nothing(tmp_path):
+    path = tmp_path / "no_models.yml"
+    path.write_text(MINIMAL + "models: []\n")
+    with pytest.raises(ConfigError, match="enables no model kinds"):
         load_config(path)
 
 
@@ -115,3 +165,19 @@ def test_cli_misspelled_grid_axis_is_a_config_error(tmp_path, caplog):
     path.write_text(CONFIG_TEMPLATE.format(length=600) + "grids: {logistic: {Cee: [0.1]}}\n")
     assert main(["run", "--config", str(path)]) == 2
     assert any("'Cee'" in m and "logistic" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize(
+    "grids, says",
+    [
+        ("{logistic: [0.1]}", "'logistic' must map each parameter to a list"),
+        ("{logistic: {C: 0.1}}", "'logistic' must map each parameter to a list"),
+        ("{mlp: {alpha: [0.001]}}", "'mlp', which is not enabled"),
+    ],
+    ids=["grid-not-a-mapping", "axis-not-a-list", "kind-not-enabled"],
+)
+def test_cli_malformed_grid_is_a_config_error(tmp_path, caplog, grids, says):
+    path = tmp_path / "grid.yml"
+    path.write_text(CONFIG_TEMPLATE.format(length=600) + f"grids: {grids}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert any(says in m for m in caplog.messages)

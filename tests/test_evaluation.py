@@ -15,6 +15,7 @@ from pairselect.evaluation import (
     pred_pos_rate,
     records_to_csv,
     strategy_returns,
+    window_backtest,
 )
 from pairselect.features import build_dataset
 from pairselect.models import ClassifierSpec, train
@@ -199,24 +200,28 @@ def _trained_pair(seed=0, n=200):
 
 def test_evaluate_pair_record_fields():
     model, window = _trained_pair()
-    pe = evaluate_pair(model.spec.canonical_id, model.score_samples(window.X), window, run_id="r1")
-    rec = pe.record
+    rec = evaluate_pair(model.spec.canonical_id, model.score_samples(window.X), window, run_id="r1")
     assert rec.instrument == "TEST"
     assert rec.model.startswith("gaussian_nb(")
     assert rec.window_start == window.dates[0]
     assert rec.window_end == window.dates[-1]
     assert rec.profit_label == (1 if rec.metrics.backtest_return_pct > 0 else 0)
-    assert len(pe.strategy_cum_pct) == len(window)
-    assert pe.strategy_cum_pct[-1] == pytest.approx(rec.metrics.backtest_return_pct)
-    assert pe.normal_cum_pct[-1] == pytest.approx(rec.metrics.nnp_pct)
+    strat_pct, base_pct, strat_curve, base_curve = window_backtest(
+        model.predict(window.X), window.returns
+    )
+    assert (strat_pct, base_pct) == (rec.metrics.backtest_return_pct, rec.metrics.nnp_pct)
+    assert len(strat_curve) == len(base_curve) == len(window)
+    assert strat_curve[-1] == pytest.approx(strat_pct)
+    assert base_curve[-1] == pytest.approx(base_pct)
 
 
 def test_evaluate_pair_always_long_model():
     model, window = _trained_pair(seed=2)
-    pe = evaluate_pair("stub", np.ones(len(window)), window, run_id="r1")
-    assert pe.record.metrics.backtest_return_pct == pe.record.metrics.nnp_pct
-    assert pe.record.metrics.pred_pos_rate == 1.0
-    np.testing.assert_allclose(pe.strategy_cum_pct, pe.normal_cum_pct)
+    rec = evaluate_pair("stub", np.ones(len(window)), window, run_id="r1")
+    assert rec.metrics.backtest_return_pct == rec.metrics.nnp_pct
+    assert rec.metrics.pred_pos_rate == 1.0
+    _, _, strat_curve, base_curve = window_backtest(np.ones(len(window)), window.returns)
+    np.testing.assert_allclose(strat_curve, base_curve)
 
 
 def test_evaluate_pair_degenerate_window_fails():
@@ -229,12 +234,12 @@ def test_evaluate_pair_degenerate_window_fails():
 
 def test_records_csv_column_order():
     model, window = _trained_pair(seed=4)
-    pe = evaluate_pair(model.spec.canonical_id, model.score_samples(window.X), window, run_id="r1")
-    text = records_to_csv([pe.record])
+    rec = evaluate_pair(model.spec.canonical_id, model.score_samples(window.X), window, run_id="r1")
+    text = records_to_csv([rec])
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[0].startswith("dataset,model,accuracy,normalized_acc,precision,recall,f1,auc")
     fields = lines[1].split(",")
     assert len(fields) == len(CSV_COLUMNS)
     assert fields[0] == "TEST"
-    assert float(fields[2]) == pe.record.metrics.accuracy
+    assert float(fields[2]) == rec.metrics.accuracy

@@ -193,15 +193,15 @@ def test_emit_reports_files_and_curves(tmp_path):
 
 
 def test_always_long_pair_curves_coincide(tmp_path):
-    from pairselect.evaluation import evaluate_pair
+    from pairselect.evaluation import window_backtest
     from pairselect.features import build_dataset
     from pairselect.data import generate_synthetic_series
 
     spec = SyntheticSpec(kind="random_walk", length=300, seed=8)
     ds = build_dataset(generate_synthetic_series(spec, "RW"))
 
-    pe = evaluate_pair("stub", np.ones(60), ds.take(range(0, 60)), run_id="x")
-    np.testing.assert_allclose(pe.strategy_cum_pct, pe.normal_cum_pct)
+    _, _, strat_curve, base_curve = window_backtest(np.ones(60), ds.take(range(0, 60)).returns)
+    np.testing.assert_allclose(strat_curve, base_curve)
 
 
 def test_predict_next_directions(tmp_path):
