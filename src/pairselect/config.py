@@ -5,6 +5,8 @@ The keys and their defaults are the fields of :class:`RunConfig`
 :class:`FeatureParams` (``features:``) and :class:`SyntheticSpec` (an
 instrument's ``synthetic:``); the loader passes on only the keys a file
 sets.  Everything except ``seed`` and ``instruments`` has a default.
+Each ``instruments:`` entry takes the keys ``symbol``, ``csv`` (a path)
+and ``synthetic``, and needs exactly one of the last two.
 Relative CSV paths resolve against the config file's directory.
 """
 
@@ -57,6 +59,9 @@ def _parse_source(entry, base: Path) -> InstrumentSource:
         raise ConfigError(f"instrument entry needs a symbol: {entry!r}")
     symbol = str(entry["symbol"])
     where = f"instrument {symbol!r}"
+    unknown = set(entry) - {"symbol", "csv", "synthetic"}
+    if unknown:
+        raise ConfigError(f"{where}: unknown instrument keys {sorted(unknown)}")
     csv_path = entry.get("csv")
     if csv_path is not None:
         csv_path = Path(csv_path)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .features import LabeledDataset
+from .models.base import decide
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def evaluate_pair(
     if len(np.unique(window.y)) < 2:
         raise EvaluationError("degenerate window: labels are a single class")
 
-    predictions = (scores >= 0.5).astype(np.int64)
+    predictions = decide(scores)
 
     accuracy, precision, recall, f1 = confusion_metrics(predictions, window.y)
     strat_pct = backtest(predictions, window.returns, short_on_down)

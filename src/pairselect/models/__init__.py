@@ -1,13 +1,18 @@
-"""The classifier zoo: nine registered kinds, grid search, persistence.
+"""The classifier zoo: nine kinds, grid search, persistence.
 
-Every kind is registered with its default hyperparameters and a default
-one-axis tuning grid bracketing those defaults.  ``canonical_id`` encodes
-the kind plus the full resolved hyperparameter set and is the stable
-model identity used in records, seeds, and reports.
+Each kind's facts have one home.  Its name is the class's ``kind``
+attribute and its default hyperparameters are its constructor's
+defaults; the ``_ZOO`` table names the class, the hyperparameters its
+id carries, and a default one-axis tuning grid bracketing the defaults,
+in ``KIND_ORDER``.  ``REGISTRY`` is derived from that table, and
+``model_def`` is the one lookup that refuses an unknown kind.
+``canonical_id`` encodes the kind plus the full resolved hyperparameter
+set and is the stable model identity used in records, seeds, and reports.
 """
 
 from __future__ import annotations
 
+import inspect
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -15,7 +20,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..errors import ConfigError, TrainingError
-from .base import Classifier, derive_seed
+from .base import Classifier, decide, derive_seed
 from .bayes import GaussianNBModel
 from .linear import LinearSVMModel, LogisticRegressionModel
 from .mlp import MLPModel
@@ -35,72 +40,36 @@ class ModelDef:
     default_grid: Mapping[str, tuple]
 
 
-REGISTRY: dict[str, ModelDef] = {}
+# (class, the hyperparameters its canonical id carries, default grid), in KIND_ORDER
+_ZOO = (
+    (GradientBoostingModel, ("n_estimators", "learning_rate", "max_depth"),
+     {"learning_rate": (0.005, 0.01, 0.02)}),
+    (LogisticRegressionModel, ("C", "max_iter", "tol"), {"C": (0.01, 0.1, 1.0)}),
+    (DecisionTreeModel, ("max_depth", "min_samples_split", "min_samples_leaf"), {"max_depth": (6, 12, 18)}),
+    (RandomForestModel, ("n_estimators", "max_depth"), {"n_estimators": (100, 300, 500)}),
+    (KNeighborsModel, ("n_neighbors",), {"n_neighbors": (3, 7, 11)}),
+    (GaussianNBModel, ("var_smoothing",), {"var_smoothing": (1e-10, 1e-9, 1e-8)}),
+    (LinearSVMModel, ("C", "max_iter"), {"C": (0.1, 1.0, 10.0)}),
+    (MLPModel, ("hidden_units", "alpha", "max_iter"), {"hidden_units": (32, 69, 128)}),
+    (KernelSVMModel, ("C", "gamma", "max_iter"), {"C": (0.1, 1.0, 10.0)}),
+)
 
 
-def register(kind, factory, defaults, default_grid) -> None:
-    """Add a model kind to the zoo; new kinds plug in through here."""
-    if kind in REGISTRY:
-        raise ConfigError(f"model kind {kind!r} already registered")
-    REGISTRY[kind] = ModelDef(kind, factory, dict(defaults), dict(default_grid))
+def _zoo_entry(cls, id_names, grid) -> ModelDef:
+    params = inspect.signature(cls).parameters
+    return ModelDef(cls.kind, cls, {name: params[name].default for name in id_names}, grid)
 
 
-register(
-    "gradient_boosting",
-    GradientBoostingModel,
-    {"n_estimators": 100, "learning_rate": 0.01, "max_depth": 12},
-    {"learning_rate": (0.005, 0.01, 0.02)},
-)
-register(
-    "logistic",
-    LogisticRegressionModel,
-    {"C": 0.1, "max_iter": 10_000, "tol": 1e-6},
-    {"C": (0.01, 0.1, 1.0)},
-)
-register(
-    "decision_tree",
-    DecisionTreeModel,
-    {"max_depth": 12, "min_samples_split": 6, "min_samples_leaf": 4},
-    {"max_depth": (6, 12, 18)},
-)
-register(
-    "random_forest",
-    RandomForestModel,
-    {"n_estimators": 500, "max_depth": 10},
-    {"n_estimators": (100, 300, 500)},
-)
-register(
-    "kneighbors",
-    KNeighborsModel,
-    {"n_neighbors": 7},
-    {"n_neighbors": (3, 7, 11)},
-)
-register(
-    "gaussian_nb",
-    GaussianNBModel,
-    {"var_smoothing": 1e-9},
-    {"var_smoothing": (1e-10, 1e-9, 1e-8)},
-)
-register(
-    "linear_svm",
-    LinearSVMModel,
-    {"C": 1.0, "max_iter": 10_000},
-    {"C": (0.1, 1.0, 10.0)},
-)
-register(
-    "mlp",
-    MLPModel,
-    {"hidden_units": 69, "alpha": 1e-4, "max_iter": 10_000},
-    {"hidden_units": (32, 69, 128)},
-)
-register(
-    "kernel_svm",
-    KernelSVMModel,
-    {"C": 1.0, "gamma": "scale", "max_iter": 5_000},
-    {"C": (0.1, 1.0, 10.0)},
-)
+REGISTRY: dict[str, ModelDef] = {d.kind: d for d in (_zoo_entry(*row) for row in _ZOO)}
 
 KIND_ORDER = tuple(REGISTRY)
+
+
+def model_def(kind: str) -> ModelDef:
+    """The zoo entry for ``kind``; the one place an unknown kind is refused."""
+    if kind not in REGISTRY:
+        raise ConfigError(f"unknown model kind {kind!r}; known: {sorted(REGISTRY)}")
+    return REGISTRY[kind]
 
 
 @dataclass(frozen=True)
@@ -112,10 +81,8 @@ class ClassifierSpec:
 
     @staticmethod
     def resolve(kind: str, overrides: Mapping[str, Any] | None = None) -> "ClassifierSpec":
-        """Merge overrides onto the registry defaults for ``kind``."""
-        if kind not in REGISTRY:
-            raise ConfigError(f"unknown model kind {kind!r}; known: {sorted(REGISTRY)}")
-        params = dict(REGISTRY[kind].defaults)
+        """Merge overrides onto the zoo defaults for ``kind``."""
+        params = dict(model_def(kind).defaults)
         params.update(overrides or {})  # extra constructor knobs are allowed
         return ClassifierSpec(kind, params)
 
@@ -126,7 +93,7 @@ class ClassifierSpec:
         return f"{self.kind}({parts})"
 
     def build(self) -> Classifier:
-        return REGISTRY[self.kind].factory(**self.params)
+        return model_def(self.kind).factory(**self.params)
 
 
 def train(spec: ClassifierSpec, X, y, seed: int) -> Classifier:
@@ -139,9 +106,7 @@ def train(spec: ClassifierSpec, X, y, seed: int) -> Classifier:
 
 def grid_combinations(kind: str, grid: Mapping[str, tuple] | None = None) -> list[ClassifierSpec]:
     """Cartesian product of the grid axes, in declared order."""
-    if kind not in REGISTRY:
-        raise ConfigError(f"unknown model kind {kind!r}; known: {sorted(REGISTRY)}")
-    axes = dict(grid) if grid else dict(REGISTRY[kind].default_grid)
+    axes = dict(grid) if grid else dict(model_def(kind).default_grid)
     combos: list[dict] = [{}]
     for name, values in axes.items():
         combos = [dict(c, **{name: v}) for c in combos for v in values]
@@ -190,7 +155,7 @@ def grid_search(
             trials.append((spec.canonical_id, None, str(exc)))
             continue
         scores = model.score_samples(val_X)
-        acc = float(((scores >= 0.5) == val_y).mean())  # the accuracy of predict()
+        acc = float((decide(scores) == val_y).mean())  # the accuracy of predict()
         trials.append((spec.canonical_id, acc, None))
         if best is None or acc > best.validation_accuracy:
             best = GridSearchResult(spec, model, scores, acc, trials)

@@ -1,8 +1,9 @@
 """Shared plumbing for the classifier zoo.
 
 Every model exposes ``score_samples`` returning a class-1 score in
-[0, 1]; ``predict`` is always the 0.5 threshold on that score, so the
-two can never disagree.  ``Classifier`` checks the inputs and, for kinds
+[0, 1].  ``decide`` is the package's one 0.5 decision rule on such
+scores; ``predict`` is ``decide`` of ``score_samples``, so the two can
+never disagree.  ``Classifier`` checks the inputs and, for kinds
 with ``standardize = True``, scales features by statistics of their own
 training set; subclasses implement ``_fit(Z, y, rng)`` and ``_score(Z)``
 on the resulting matrix ``Z``.
@@ -68,6 +69,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def decide(scores) -> np.ndarray:
+    """Class predictions from class-1 scores: 1 where the score is >= 0.5."""
+    return (scores >= 0.5).astype(np.int64)
+
+
 class Classifier:
     """Base for all zoo members; subclasses implement ``_fit`` and ``_score``."""
 
@@ -98,4 +104,4 @@ class Classifier:
         raise NotImplementedError
 
     def predict(self, X) -> np.ndarray:
-        return (self.score_samples(X) >= 0.5).astype(np.int64)
+        return decide(self.score_samples(X))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, sigmoid
+from .base import Classifier, decide, sigmoid
 
 _EPS_IMPROVEMENT = 1e-12
 
@@ -230,7 +230,7 @@ class RandomForestModel(Classifier):
 
     def tree_votes(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_samples) matrix of individual tree votes."""
-        return np.stack([(t.predict_value(X) >= 0.5).astype(np.int64) for t in self._trees])
+        return np.stack([decide(t.predict_value(X)) for t in self._trees])
 
     def _score(self, X) -> np.ndarray:
         return self.tree_votes(X).mean(axis=0)

@@ -35,7 +35,7 @@ from .meta import (
     select_pairs,
     train_meta,
 )
-from .models import KIND_ORDER, REGISTRY, grid_search
+from .models import KIND_ORDER, grid_search, model_def
 from .models.base import derive_seed
 from .splits import (
     DEFAULT_TEST_FRAC,
@@ -76,10 +76,8 @@ class RunConfig:
             if kind not in self.model_kinds:
                 raise ConfigError(f"grid given for model kind {kind!r}, which is not enabled")
         for kind in self.model_kinds:
-            if kind not in REGISTRY:
-                raise ConfigError(f"unknown model kind {kind!r}; known: {sorted(REGISTRY)}")
             # checked against the constructor, since knobs beyond the defaults are allowed
-            accepted = inspect.signature(REGISTRY[kind].factory).parameters
+            accepted = inspect.signature(model_def(kind).factory).parameters
             for axis in self.grids.get(kind, {}):
                 if axis not in accepted:
                     raise ConfigError(
@@ -353,12 +351,15 @@ def predict_next(config: RunConfig) -> list[NextDayPrediction]:
     selection = select_pairs(meta, records, config.selection_mode)
 
     by_symbol = {s.symbol: s for s in series_list}
+    last_rows = {
+        symbol: feature_matrix(by_symbol[symbol], config.features)[-1:]
+        for symbol in {entry.instrument for entry in selection.entries}
+    }
     out = []
     for entry in selection.entries:
         series = by_symbol[entry.instrument]
-        last_row = feature_matrix(series, config.features)[-1]
         model = models[(entry.instrument, entry.model)]
-        direction = int(model.predict(last_row.reshape(1, -1))[0])
+        direction = int(model.predict(last_rows[entry.instrument])[0])
         out.append(
             NextDayPrediction(
                 instrument=entry.instrument,

@@ -181,3 +181,13 @@ def test_cli_malformed_grid_is_a_config_error(tmp_path, caplog, grids, says):
     path.write_text(CONFIG_TEMPLATE.format(length=600) + f"grids: {grids}\n")
     assert main(["run", "--config", str(path)]) == 2
     assert any(says in m for m in caplog.messages)
+
+
+def test_cli_unknown_instrument_key_is_a_config_error(tmp_path, caplog):
+    path = tmp_path / "typo.yml"
+    path.write_text(
+        "seed: 1\ninstruments:\n  - symbol: A\n    csvpath: a.csv\n"
+        "    synthetic: {kind: random_walk, length: 200}\n"
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    assert any("'csvpath'" in m and "'A'" in m for m in caplog.messages)

@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from pairselect.errors import TrainingError
+from pairselect.data import InstrumentSource, SyntheticSpec
+from pairselect.errors import ConfigError, TrainingError
 from pairselect.models import (
     KIND_ORDER,
+    REGISTRY,
     ClassifierSpec,
     grid_combinations,
     load_model,
@@ -11,6 +15,7 @@ from pairselect.models import (
     train,
 )
 from pairselect.models.base import derive_seed
+from pairselect.pipeline import RunConfig
 
 from helpers import make_separable_2d
 
@@ -30,13 +35,63 @@ def probe_inputs():
     return rng.uniform(-3, 3, size=(1000, 2))
 
 
-def test_canonical_id_is_stable_and_sorted():
-    a = ClassifierSpec.resolve("logistic").canonical_id
-    b = ClassifierSpec.resolve("logistic", {"C": 0.1}).canonical_id
-    assert a == b == "logistic(C=0.1;max_iter=10000;tol=1e-06)"
-    c = ClassifierSpec.resolve("logistic", {"C": 1.0}).canonical_id
+DEFAULT_IDS = {
+    "gradient_boosting": "gradient_boosting(learning_rate=0.01;max_depth=12;n_estimators=100)",
+    "logistic": "logistic(C=0.1;max_iter=10000;tol=1e-06)",
+    "decision_tree": "decision_tree(max_depth=12;min_samples_leaf=4;min_samples_split=6)",
+    "random_forest": "random_forest(max_depth=10;n_estimators=500)",
+    "kneighbors": "kneighbors(n_neighbors=7)",
+    "gaussian_nb": "gaussian_nb(var_smoothing=1e-09)",
+    "linear_svm": "linear_svm(C=1.0;max_iter=10000)",
+    "mlp": "mlp(alpha=0.0001;hidden_units=69;max_iter=10000)",
+    "kernel_svm": "kernel_svm(C=1.0;gamma='scale';max_iter=5000)",
+}
+
+
+def test_kind_order_is_fixed():
+    assert KIND_ORDER == (
+        "gradient_boosting", "logistic", "decision_tree", "random_forest", "kneighbors",
+        "gaussian_nb", "linear_svm", "mlp", "kernel_svm",
+    )
+
+
+@pytest.mark.parametrize("kind", list(DEFAULT_IDS))
+def test_canonical_id_is_stable_and_sorted(kind):
+    a = ClassifierSpec.resolve(kind).canonical_id
+    axis, values = next(iter(REGISTRY[kind].default_grid.items()))
+    default = REGISTRY[kind].defaults[axis]
+    b = ClassifierSpec.resolve(kind, {axis: default}).canonical_id
+    assert a == b == DEFAULT_IDS[kind]
+    c = ClassifierSpec.resolve(kind, {axis: next(v for v in values if v != default)}).canonical_id
     assert c != a
     assert "," not in a  # ids must stay CSV-safe
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_id_names_and_grid_axes_are_constructor_parameters(kind):
+    entry = REGISTRY[kind]
+    accepted = inspect.signature(entry.factory).parameters
+    assert entry.factory.kind == kind
+    assert set(entry.defaults) <= set(accepted)
+    assert set(entry.default_grid) <= set(accepted)
+    for axis, values in entry.default_grid.items():
+        assert entry.defaults[axis] in values  # the grid brackets the default
+
+
+def test_unknown_kind_error_is_the_same_everywhere(tmp_path):
+    with pytest.raises(ConfigError) as resolved:
+        ClassifierSpec.resolve("xgboost")
+    with pytest.raises(ConfigError) as combined:
+        grid_combinations("xgboost")
+    source = InstrumentSource("A", synthetic=SyntheticSpec("random_walk", 200))
+    config = RunConfig(
+        sources=(source,), seed=0, out_dir=tmp_path, store_path=tmp_path / "s.csv",
+        model_kinds=("xgboost",),
+    )
+    with pytest.raises(ConfigError) as validated:
+        config.validate()
+    assert "unknown model kind 'xgboost'" in str(resolved.value)
+    assert str(resolved.value) == str(combined.value) == str(validated.value)
 
 
 def test_derive_seed_is_stable():
