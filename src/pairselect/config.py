@@ -5,6 +5,8 @@ The keys and their defaults are the fields of :class:`RunConfig`
 :class:`FeatureParams` (``features:``) and :class:`SyntheticSpec` (an
 instrument's ``synthetic:``); the loader passes on only the keys a file
 sets.  Everything except ``seed`` and ``instruments`` has a default.
+Settings check themselves when built, so a bad value is the same
+:class:`ConfigError` here as in code.
 Each ``instruments:`` entry takes the keys ``symbol``, ``csv`` (a path)
 and ``synthetic``, and needs exactly one of the last two.
 Relative CSV paths resolve against the config file's directory.
@@ -71,10 +73,7 @@ def _parse_source(entry, base: Path) -> InstrumentSource:
     if entry.get("synthetic") is not None:
         values = {"kind": "random_walk", **_mapping(entry, "synthetic", where)}
         synthetic = _construct(SyntheticSpec, values, f"{where} synthetic")
-        synthetic.validate()
-    source = InstrumentSource(symbol=symbol, csv_path=csv_path, synthetic=synthetic)
-    source.validate()
-    return source
+    return InstrumentSource(symbol=symbol, csv_path=csv_path, synthetic=synthetic)
 
 
 def _parse_grids(doc: dict, where) -> dict:
@@ -93,7 +92,7 @@ def load_config(
     out_override=None,
     store_override=None,
 ) -> RunConfig:
-    """Read a YAML config file into a validated :class:`RunConfig`."""
+    """Read a YAML config file into a :class:`RunConfig` (checked when built)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -117,9 +116,9 @@ def load_config(
     if seed is None:
         raise ConfigError(f"{path}: a seed is required (config key 'seed' or --seed)")
 
-    instruments = doc.get("instruments")
-    if not instruments:
-        raise ConfigError(f"{path}: config lists no instruments")
+    instruments = doc.get("instruments") or []
+    if not isinstance(instruments, list):
+        raise ConfigError(f"{path}: 'instruments' must be a list of instrument entries")
     sources = tuple(_parse_source(entry, base) for entry in instruments)
 
     out_dir = Path(out_override if out_override is not None else doc.get("out_dir", "out"))
@@ -152,6 +151,4 @@ def load_config(
         if key in doc:
             settings[key] = doc[key]
 
-    config = _construct(RunConfig, settings, path)
-    config.validate()
-    return config
+    return _construct(RunConfig, settings, path)

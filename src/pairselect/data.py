@@ -97,7 +97,7 @@ class SyntheticSpec:
     persistence: float = 0.65
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in SYNTHETIC_KINDS:
             raise ConfigError(
                 f"unknown synthetic kind {self.kind!r}; expected one of {SYNTHETIC_KINDS}"
@@ -121,7 +121,7 @@ class InstrumentSource:
     csv_path: Path | None = None
     synthetic: SyntheticSpec | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.symbol:
             raise ConfigError("instrument symbol must be non-empty")
         if any(ch in self.symbol for ch in ",\n\r"):
@@ -221,7 +221,6 @@ def generate_synthetic_series(spec: SyntheticSpec, symbol: str) -> PriceSeries:
     ``volatility_pct``.  Opens continue the prior close, so open-to-close
     returns carry the full daily move.
     """
-    spec.validate()
     rng = np.random.default_rng(stream_seed(spec.seed, symbol))
 
     mags = np.abs(rng.standard_normal(spec.length))
@@ -253,7 +252,6 @@ def generate_synthetic_series(spec: SyntheticSpec, symbol: str) -> PriceSeries:
 
 def load_series(source: InstrumentSource) -> PriceSeries:
     """Load one instrument from its configured source."""
-    source.validate()
     if source.csv_path is not None:
         path = Path(source.csv_path)
         if not path.exists():

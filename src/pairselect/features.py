@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OhlcvBar, PriceSeries
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 FEATURE_NAMES = ("return_pct", "sma", "rsi", "macd", "signal", "histogram")
 
@@ -136,6 +136,15 @@ class FeatureParams:
     macd_fast: int = 12
     macd_slow: int = 26
     macd_signal: int = 9
+
+    def __post_init__(self) -> None:
+        for name, period in vars(self).items():
+            if period < 1:
+                raise ConfigError(f"{name} must be >= 1, got {period}")
+        if self.macd_fast > self.macd_slow:
+            raise ConfigError(
+                f"macd_fast ({self.macd_fast}) must not exceed macd_slow ({self.macd_slow})"
+            )
 
     def feature_complete_index(self) -> int:
         """First bar index at which every feature is defined."""

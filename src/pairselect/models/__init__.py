@@ -67,7 +67,7 @@ KIND_ORDER = tuple(REGISTRY)
 
 def model_def(kind: str) -> ModelDef:
     """The zoo entry for ``kind``; the one place an unknown kind is refused."""
-    if kind not in REGISTRY:
+    if not isinstance(kind, str) or kind not in REGISTRY:
         raise ConfigError(f"unknown model kind {kind!r}; known: {sorted(REGISTRY)}")
     return REGISTRY[kind]
 

@@ -11,9 +11,9 @@ Chen & Guestrin, "XGBoost", KDD 2016).  The invariant that keeps the trees
 exact: every node holds, per feature, its rows sorted by (value, row id),
 which is the order a stable argsort of the node's own rows would give.
 Splitting a node partitions those lists stably with a row mask, so both
-children inherit the invariant; the partition itself is ``x <= threshold``,
-not a cut at a sorted position, because a midpoint can round onto the
-upper of its two values.
+children inherit the invariant.  A midpoint that rounds onto the upper of
+its two values falls back to the lower one (scikit-learn's splitter rule),
+so ``x <= threshold`` always makes the cut that was scored.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def _best_split(Xt, t, tsq, order, features, min_samples_leaf, criterion):
     best = score[np.arange(len(features)), cut]
     i = int(best.argmin())  # first minimum -> lowest feature index wins ties
     j = lo + int(cut[i])
-    return float(best[i]), int(features[i]), float((xo[i, j] + xo[i, j + 1]) / 2.0)
+    lower, upper = xo[i, j], xo[i, j + 1]
+    mid = (lower + upper) / 2.0
+    return float(best[i]), int(features[i]), float(mid if mid < upper else lower)
 
 
 def grow_tree(

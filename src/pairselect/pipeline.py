@@ -15,7 +15,7 @@ import datetime as dt
 import inspect
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -41,6 +41,7 @@ from .splits import (
     DEFAULT_TEST_FRAC,
     DEFAULT_VAL_FRAC,
     SplitView,
+    check_fractions,
     learn_validation_split,
     min_dataset_size,
     walk_forward_plan,
@@ -52,7 +53,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs; file paths are resolved by the loader."""
+    """Everything one run needs; file paths are resolved by the loader.
+
+    The settings are checked when built, so a bad value is a
+    :class:`ConfigError` whether it comes from a YAML file or from code.
+    """
 
     sources: tuple[InstrumentSource, ...]
     seed: int
@@ -67,9 +72,13 @@ class RunConfig:
     short_on_down: bool = True
     windows: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.sources:
             raise ConfigError("config lists no instruments")
+        symbols = [s.symbol for s in self.sources]
+        if len(set(symbols)) != len(symbols):
+            raise ConfigError(f"duplicate instrument symbols in universe: {symbols}")
+        check_fractions(test_frac=self.test_frac, val_frac=self.val_frac)
         if not self.model_kinds:
             raise ConfigError("config enables no model kinds")
         for kind in self.grids:
@@ -137,10 +146,6 @@ def _load_datasets(config: RunConfig) -> tuple[list[PriceSeries], list[LabeledDa
     min_bars = config.features.min_bars(
         min_dataset_size(1, test_frac=config.test_frac, val_frac=config.val_frac)
     )
-    symbols = [s.symbol for s in config.sources]
-    if len(set(symbols)) != len(symbols):
-        raise ConfigError(f"duplicate instrument symbols in universe: {symbols}")
-
     series_list: list[PriceSeries] = []
     datasets: list[LabeledDataset] = []
     for source in config.sources:
@@ -219,25 +224,23 @@ def _test_outcome(model, window: LabeledDataset, short_on_down: bool) -> TestOut
 
 
 def walk_forward(config: RunConfig, n_windows: int | None = None) -> list[RunReport]:
-    """Run ``n_windows`` consecutive training cycles with a shared store.
+    """Run ``config.windows`` consecutive training cycles with a shared store.
 
-    Window feasibility for every instrument is checked before any
-    training work starts.
+    An explicit ``n_windows`` replaces ``config.windows``.  Window
+    feasibility for every instrument is checked before any training work
+    starts.
     """
-    config.validate()
-    n_windows = config.windows if n_windows is None else n_windows
-    if n_windows < 1:
-        raise ConfigError(f"n_windows must be >= 1, got {n_windows}")
-
+    if n_windows is not None:
+        config = replace(config, windows=n_windows)
     _, datasets = _load_datasets(config)
     plans = [
-        walk_forward_plan(len(ds), n_windows, test_frac=config.test_frac, val_frac=config.val_frac)
+        walk_forward_plan(len(ds), config.windows, test_frac=config.test_frac, val_frac=config.val_frac)
         for ds in datasets
     ]
 
     store = RecordStore(config.store_path)
     reports: list[RunReport] = []
-    for w in range(n_windows):
+    for w in range(config.windows):
         run_id = _run_id(config.seed, w + 1)
         views = [plan[w] for plan in plans]
         prior = store.load()
@@ -283,7 +286,7 @@ def walk_forward(config: RunConfig, n_windows: int | None = None) -> list[RunRep
             RunReport(
                 run_id=run_id,
                 window_index=w + 1,
-                n_windows=n_windows,
+                n_windows=config.windows,
                 records=tuple(records),
                 failures=tuple(failures),
                 selection=selection,
@@ -322,7 +325,6 @@ def predict_next(config: RunConfig) -> list[NextDayPrediction]:
     each selected model's feature row at the very last bar.  Nothing is
     appended to the store.
     """
-    config.validate()
     series_list, datasets = _load_datasets(config)
     run_id = f"{config.seed}-next"
 

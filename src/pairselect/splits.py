@@ -38,6 +38,13 @@ class SplitView:
         return len(self.learn), len(self.validation), len(self.test)
 
 
+def check_fractions(**fractions: float) -> None:
+    """Refuse any named split fraction outside the open interval (0, 1)."""
+    for name, value in fractions.items():
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+
+
 def _learn_val_frac(history_end: int, val_frac: float) -> tuple[range, range]:
     n_val = round_half_away(val_frac * history_end)
     return range(0, history_end - n_val), range(history_end - n_val, history_end)
@@ -76,10 +83,7 @@ def walk_forward_plan(
     """
     if n_windows < 1:
         raise ConfigError(f"n_windows must be >= 1, got {n_windows}")
-    if not (0.0 < test_frac < 1.0) or not (0.0 < val_frac < 1.0):
-        raise ConfigError(
-            f"split fractions must lie in (0, 1), got test={test_frac} val={val_frac}"
-        )
+    check_fractions(test_frac=test_frac, val_frac=val_frac)
 
     n_test = round_half_away(test_frac * n_samples)
     views = []
@@ -102,8 +106,7 @@ def walk_forward_plan(
 
 def learn_validation_split(n_samples: int, val_frac: float = DEFAULT_VAL_FRAC) -> tuple[range, range]:
     """Split all samples into learn/validation only (no test holdout)."""
-    if not (0.0 < val_frac < 1.0):
-        raise ConfigError(f"val_frac must lie in (0, 1), got {val_frac}")
+    check_fractions(val_frac=val_frac)
     learn, validation = _learn_val_frac(n_samples, val_frac)
     if len(learn) < 1 or len(validation) < 1:
         raise ConfigError(f"{n_samples} samples cannot support a learn/validation split")

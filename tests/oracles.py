@@ -155,7 +155,8 @@ def _best_split_oracle(X, t, idx, features, min_samples_leaf, criterion):
         score = np.where(valid, score, np.inf)
         j = int(np.argmin(score))  # first minimum -> lowest threshold wins ties
         if best is None or score[j] < best[0]:
-            best = (float(score[j]), int(f), float((xo[j] + xo[j + 1]) / 2.0))
+            mid = (xo[j] + xo[j + 1]) / 2.0
+            best = (float(score[j]), int(f), float(mid if mid < xo[j + 1] else xo[j]))
     return best
 
 

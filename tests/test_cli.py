@@ -2,6 +2,7 @@ import pytest
 
 from pairselect.cli import main
 from pairselect.config import load_config
+from pairselect.data import InstrumentSource, SyntheticSpec
 from pairselect.errors import ConfigError
 from pairselect.features import FeatureParams
 from pairselect.pipeline import RunConfig
@@ -108,6 +109,46 @@ def test_load_config_empty_model_list_enables_nothing(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "features, says",
+    [
+        ("{sma_period: 0}", "sma_period must be >= 1, got 0"),
+        ("{macd_signal: -2}", "macd_signal must be >= 1, got -2"),
+        ("{macd_fast: 40}", "macd_fast (40) must not exceed macd_slow (26)"),
+    ],
+    ids=["sma-period-zero", "signal-negative", "fast-above-slow"],
+)
+def test_load_config_bad_feature_period_is_named(tmp_path, features, says):
+    path = tmp_path / "features.yml"
+    path.write_text(MINIMAL + f"features: {features}\n")
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    assert says in str(refused.value)
+
+
+SOURCE = InstrumentSource("A", synthetic=SyntheticSpec("random_walk", 200))
+
+
+@pytest.mark.parametrize(
+    "text, build",
+    [
+        (MINIMAL + "windows: 0\n", lambda: RunConfig((SOURCE,), 1, ".", "s.csv", windows=0)),
+        ("seed: 1\ninstruments:\n  - symbol: A\n", lambda: InstrumentSource("A")),
+        (MINIMAL.replace("length: 200", "length: 50"), lambda: SyntheticSpec("random_walk", 50)),
+        (MINIMAL + "features: {sma_period: 0}\n", lambda: FeatureParams(sma_period=0)),
+    ],
+    ids=["RunConfig", "InstrumentSource", "SyntheticSpec", "FeatureParams"],
+)
+def test_settings_built_in_code_are_refused_like_yaml(tmp_path, text, build):
+    path = tmp_path / "bad.yml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as from_yaml:
+        load_config(path)
+    with pytest.raises(ConfigError) as from_code:
+        build()
+    assert str(from_code.value) == str(from_yaml.value)
+
+
 def test_cli_synth_writes_csvs(config_file, tmp_path, capsys):
     assert main(["synth", "--config", str(config_file)]) == 0
     written = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
@@ -191,3 +232,18 @@ def test_cli_unknown_instrument_key_is_a_config_error(tmp_path, caplog):
     )
     assert main(["run", "--config", str(path)]) == 2
     assert any("'csvpath'" in m and "'A'" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        (MINIMAL + "models: [[logistic]]\n", "unknown model kind ['logistic']"),
+        ("seed: 1\ninstruments: 5\n", "'instruments' must be a list"),
+    ],
+    ids=["model-kind-not-a-string", "instruments-not-a-list"],
+)
+def test_cli_malformed_yaml_list_is_a_config_error(tmp_path, caplog, text, says):
+    path = tmp_path / "lists.yml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    assert any(says in m for m in caplog.messages)

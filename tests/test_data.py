@@ -145,9 +145,9 @@ def test_random_walk_signs_are_fair():
 
 def test_synthetic_spec_validation():
     with pytest.raises(ConfigError):
-        SyntheticSpec(kind="nope", length=500).validate()
+        SyntheticSpec(kind="nope", length=500)
     with pytest.raises(ConfigError):
-        SyntheticSpec(kind="random_walk", length=50).validate()
+        SyntheticSpec(kind="random_walk", length=50)
     with pytest.raises(ConfigError):
-        SyntheticSpec(kind="persistent_sign", length=500, persistence=1.5).validate()
+        SyntheticSpec(kind="persistent_sign", length=500, persistence=1.5)
 

@@ -84,12 +84,11 @@ def test_unknown_kind_error_is_the_same_everywhere(tmp_path):
     with pytest.raises(ConfigError) as combined:
         grid_combinations("xgboost")
     source = InstrumentSource("A", synthetic=SyntheticSpec("random_walk", 200))
-    config = RunConfig(
-        sources=(source,), seed=0, out_dir=tmp_path, store_path=tmp_path / "s.csv",
-        model_kinds=("xgboost",),
-    )
     with pytest.raises(ConfigError) as validated:
-        config.validate()
+        RunConfig(
+            sources=(source,), seed=0, out_dir=tmp_path, store_path=tmp_path / "s.csv",
+            model_kinds=("xgboost",),
+        )
     assert "unknown model kind 'xgboost'" in str(resolved.value)
     assert str(resolved.value) == str(combined.value) == str(validated.value)
 

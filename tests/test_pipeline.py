@@ -238,8 +238,8 @@ def test_all_instruments_failing_is_fatal(tmp_path):
 
 def test_duplicate_symbols_rejected(tmp_path):
     trend = synthetic_sources(n_trend=1, n_noise=0)
-    config = make_config(tmp_path, sources=trend + trend)
     with pytest.raises(ConfigError, match="duplicate"):
+        config = make_config(tmp_path, sources=trend + trend)
         run_training_cycle(config)
 
 
@@ -264,16 +264,21 @@ def test_mixed_csv_and_synthetic_universe(tmp_path, caplog):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        RunConfig(sources=(), seed=1, out_dir=".", store_path="s.csv").validate()
-    config = RunConfig(
-        sources=synthetic_sources(), seed=1, out_dir=".", store_path="s.csv",
-        model_kinds=("bogus",),
-    )
+        RunConfig(sources=(), seed=1, out_dir=".", store_path="s.csv")
     with pytest.raises(ConfigError, match="bogus"):
-        config.validate()
-    config = RunConfig(
-        sources=synthetic_sources(), seed=1, out_dir=".", store_path="s.csv",
-        selection_mode="nope",
-    )
+        RunConfig(
+            sources=synthetic_sources(), seed=1, out_dir=".", store_path="s.csv",
+            model_kinds=("bogus",),
+        )
     with pytest.raises(ConfigError, match="nope"):
-        config.validate()
+        RunConfig(
+            sources=synthetic_sources(), seed=1, out_dir=".", store_path="s.csv",
+            selection_mode="nope",
+        )
+
+
+def test_split_fraction_is_refused_when_the_config_is_built():
+    with pytest.raises(ConfigError, match=r"test_frac must lie in \(0, 1\), got 1.5"):
+        RunConfig(
+            sources=synthetic_sources(), seed=1, out_dir=".", store_path="s.csv", test_frac=1.5
+        )

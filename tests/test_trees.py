@@ -99,9 +99,15 @@ def test_partition_follows_threshold_when_midpoint_rounds_up():
     target = np.repeat([0.0, 1.0, 1.0], 3)
     kwargs = dict(criterion="gini", max_depth=1, min_samples_split=2, min_samples_leaf=1)
     tree = grow_tree(X, target, **kwargs)
-    assert tree.threshold[0] == 2.0  # the cut after ``below`` rounds onto 2.0
-    assert tree.value[tree.left[0]] == 0.5  # so the 2.0 rows go left with it
+    assert tree.threshold[0] == below  # the midpoint rounds onto 2.0, so the lower value serves
+    assert tree.value[tree.left[0]] == 0.0  # and the 2.0 rows go right, as scored
     _assert_same_tree(tree, grow_tree_oracle(X, target, **kwargs))
+
+
+def test_midpoint_rounding_onto_the_largest_value_still_splits():
+    X = np.array([[np.nextafter(2.0, 0.0)], [2.0]])
+    tree = grow_tree(X, np.array([0.0, 1.0]), "gini", 5, 2, 1)
+    assert len(tree.value) == 3
 
 
 @pytest.mark.parametrize(
