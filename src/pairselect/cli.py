@@ -25,12 +25,11 @@ from .store import RecordStore
 logger = logging.getLogger(__name__)
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_flag: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the YAML run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--store", default=None, help="record store path (overrides config)")
-    if seed_flag:
-        parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,12 +121,7 @@ def main(argv=None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(
-            args.config,
-            seed_override=getattr(args, "seed", None),
-            out_override=args.out,
-            store_override=args.store,
-        )
+        config = load_config(args.config, args.seed, args.out, args.store)
         if args.verb == "synth":
             return _cmd_synth(config)
         if args.verb == "run":

@@ -7,8 +7,8 @@ instrument's ``synthetic:``); the loader passes on only the keys a file
 sets.  Everything except ``seed`` and ``instruments`` has a default.
 Settings check themselves when built, so a bad value is the same
 :class:`ConfigError` here as in code.
-Each ``instruments:`` entry takes the keys ``symbol``, ``csv`` (a path)
-and ``synthetic``, and needs exactly one of the last two.
+Each ``instruments:`` entry takes the keys ``symbol`` (a string), ``csv``
+(a path string) and ``synthetic``, and needs exactly one of the last two.
 Relative CSV paths resolve against the config file's directory.
 """
 
@@ -26,19 +26,21 @@ from .pipeline import RunConfig
 
 
 def _construct(cls, values: dict, where):
-    """``cls(**values)`` with each value converted to its field's declared type.
+    """``cls(**values)``, each value checked against its field's declared type.
 
-    A key ``cls`` does not declare fails in its constructor, and that
-    failure (like a bad value) becomes a :class:`ConfigError`.
+    ``bool`` and ``int`` fields take only that exact type; ``float`` and
+    ``str`` fields convert.  A bad value, or a key ``cls`` does not declare
+    (which fails in its constructor), becomes a :class:`ConfigError`.
     """
     declared = typing.get_type_hints(cls)
     converted = {}
     for key, value in values.items():
         kind = declared.get(key)
-        if kind is bool and not isinstance(value, bool):
-            raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
+        if kind in (bool, int) and type(value) is not kind:
+            expected = "true or false" if kind is bool else "an integer"
+            raise ConfigError(f"{where}: {key!r} must be {expected}, got {value!r}")
         try:
-            converted[key] = kind(value) if kind in (int, float, str) else value
+            converted[key] = kind(value) if kind in (float, str) else value
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{where}: {key!r} must be of type {kind.__name__}, got {value!r}"
@@ -57,15 +59,16 @@ def _mapping(doc: dict, key: str, where) -> dict:
 
 
 def _parse_source(entry, base: Path) -> InstrumentSource:
-    if not isinstance(entry, dict) or "symbol" not in entry:
-        raise ConfigError(f"instrument entry needs a symbol: {entry!r}")
-    symbol = str(entry["symbol"])
-    where = f"instrument {symbol!r}"
+    if not isinstance(entry, dict) or not isinstance(entry.get("symbol"), str):
+        raise ConfigError(f"instrument entry needs a string symbol: {entry!r}")
+    where = f"instrument {entry['symbol']!r}"
     unknown = set(entry) - {"symbol", "csv", "synthetic"}
     if unknown:
         raise ConfigError(f"{where}: unknown instrument keys {sorted(unknown)}")
     csv_path = entry.get("csv")
     if csv_path is not None:
+        if not isinstance(csv_path, str):
+            raise ConfigError(f"{where}: 'csv' must be a path string, got {csv_path!r}")
         csv_path = Path(csv_path)
         if not csv_path.is_absolute():
             csv_path = base / csv_path
@@ -73,7 +76,7 @@ def _parse_source(entry, base: Path) -> InstrumentSource:
     if entry.get("synthetic") is not None:
         values = {"kind": "random_walk", **_mapping(entry, "synthetic", where)}
         synthetic = _construct(SyntheticSpec, values, f"{where} synthetic")
-    return InstrumentSource(symbol=symbol, csv_path=csv_path, synthetic=synthetic)
+    return InstrumentSource(symbol=entry["symbol"], csv_path=csv_path, synthetic=synthetic)
 
 
 def _parse_grids(doc: dict, where) -> dict:

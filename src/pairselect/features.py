@@ -210,7 +210,7 @@ class LabeledDataset:
 
     def to_debug_csv(self) -> str:
         out = io.StringIO()
-        out.write("target_date,return_pct,sma,rsi,macd,signal,histogram,label\n")
+        out.write(",".join(("target_date", *FEATURE_NAMES, "label")) + "\n")
         for i, date in enumerate(self.dates):
             row = ",".join(repr(float(v)) for v in self.X[i])
             out.write(f"{date.isoformat()},{row},{int(self.y[i])}\n")

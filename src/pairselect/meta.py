@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, TrainingError
 from .evaluation import EvaluationRecord
 from .models import ClassifierSpec, train
-from .models.base import derive_seed
+from .models.base import decide, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -54,13 +54,18 @@ class MetaModel:
         """(n_voters, n_rows) individual voter predictions."""
         return np.stack([v.predict(rows) for v in self.voters])
 
+    def assess(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Majority vote and mean voter score, from one scoring pass."""
+        scores = np.stack([v.score_samples(rows) for v in self.voters])
+        majority = decide(scores).sum(axis=0) * 2 > len(self.voters)
+        return majority.astype(np.int64), scores.mean(axis=0)
+
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        ballots = self.votes(rows)
-        return (ballots.sum(axis=0) * 2 > len(self.voters)).astype(np.int64)
+        return self.assess(rows)[0]
 
     def score(self, rows: np.ndarray) -> np.ndarray:
         """Mean voter score; used only to order selections."""
-        return np.mean([v.score_samples(rows) for v in self.voters], axis=0)
+        return self.assess(rows)[1]
 
 
 def train_meta(records, seed: int) -> MetaModel:
@@ -116,8 +121,7 @@ def select_pairs(meta: MetaModel, current_records, mode: str) -> PairSelection:
         raise ConfigError("select_pairs needs at least one current record")
 
     rows = metric_rows(records)
-    votes = meta.predict(rows)
-    scores = meta.score(rows)
+    votes, scores = meta.assess(rows)
     entries = [
         SelectionEntry(
             instrument=r.instrument,

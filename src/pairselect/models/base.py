@@ -60,6 +60,11 @@ class Standardizer:
         return (X - self.mean_) / self.scale_
 
 
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances; rounding negatives clip to 0."""
+    return np.maximum((A * A).sum(axis=1)[:, None] - 2.0 * A @ B.T + (B * B).sum(axis=1)[None, :], 0.0)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, squared_distances
 
 
 class KNeighborsModel(Classifier):
@@ -26,11 +26,7 @@ class KNeighborsModel(Classifier):
         self._y = y.astype(np.float64)
 
     def _score(self, Q) -> np.ndarray:
-        # squared distances via the expansion; clip tiny negatives from rounding
-        d2 = np.maximum(
-            (Q * Q).sum(axis=1)[:, None] - 2.0 * Q @ self._Z.T + (self._Z * self._Z).sum(axis=1)[None, :],
-            0.0,
-        )
+        d2 = squared_distances(Q, self._Z)
         k = min(self.n_neighbors, self._Z.shape[0])
         scores = np.empty(len(Q))
         for i in range(len(Q)):

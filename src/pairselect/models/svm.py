@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, sigmoid
+from .base import Classifier, sigmoid, squared_distances
 
 
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    d2 = np.maximum(
-        (A * A).sum(axis=1)[:, None] - 2.0 * A @ B.T + (B * B).sum(axis=1)[None, :], 0.0
-    )
-    return np.exp(-gamma * d2)
+    return np.exp(-gamma * squared_distances(A, B))
 
 
 class KernelSVMModel(Classifier):

@@ -14,6 +14,9 @@ Splitting a node partitions those lists stably with a row mask, so both
 children inherit the invariant.  A midpoint that rounds onto the upper of
 its two values falls back to the lower one (scikit-learn's splitter rule),
 so ``x <= threshold`` always makes the cut that was scored.
+
+Queries descend level by level: each step moves every row still on an
+internal node to its child, so a query takes one array pass per level.
 """
 
 from __future__ import annotations
@@ -51,18 +54,15 @@ class _Tree:
         self.value = np.asarray(self.value, dtype=np.float64)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf id reached by every row."""
-        out = np.zeros(len(X), dtype=np.int64)
-        frontier = [(0, np.arange(len(X)))]
-        while frontier:
-            node, idx = frontier.pop()
-            if self.feature[node] < 0:
-                out[idx] = node
-                continue
-            go_left = X[idx, self.feature[node]] <= self.threshold[node]
-            frontier.append((self.left[node], idx[go_left]))
-            frontier.append((self.right[node], idx[~go_left]))
-        return out
+        """Leaf id reached by every row; one step moves every row down a level."""
+        node = np.zeros(len(X), dtype=np.int64)
+        rows = np.flatnonzero(self.feature[node] >= 0)
+        while len(rows):
+            at = node[rows]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            rows = rows[self.feature[node[rows]] >= 0]
+        return node
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
@@ -281,10 +281,10 @@ class GradientBoostingModel(Classifier):
                 min_samples_leaf=self.min_samples_leaf,
             )
             leaves = tree.apply(X)
-            # Newton step per leaf on the logistic loss
-            for leaf in np.unique(leaves):
-                members = leaves == leaf
-                tree.value[leaf] = residual[members].sum() / (hessian[members].sum() + 1e-12)
+            # Newton step per leaf; a stable sort keeps each leaf's rows in row order
+            order = np.argsort(leaves, kind="stable")
+            for rows in np.split(order, np.flatnonzero(np.diff(leaves[order])) + 1):
+                tree.value[leaves[rows[0]]] = residual[rows].sum() / (hessian[rows].sum() + 1e-12)
             margin = margin + self.learning_rate * tree.value[leaves]
             self._trees.append(tree)
 

@@ -7,6 +7,7 @@ recurrences and rank tricks the implementations use.
 
 import numpy as np
 
+from pairselect.models.base import sigmoid
 from pairselect.models.trees import _EPS_IMPROVEMENT, _Tree, _node_score
 
 
@@ -201,3 +202,44 @@ def grow_tree_oracle(
     build(np.arange(len(X)), 0)
     tree.freeze()
     return tree
+
+
+def apply_oracle(tree: _Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf id of every row by a walk from the root, one row at a time."""
+    out = np.empty(len(X), dtype=np.int64)
+    for i, row in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[i] = node
+    return out
+
+
+def gradient_boosting_margin_oracle(
+    X: np.ndarray,
+    y: np.ndarray,
+    query: np.ndarray,
+    n_estimators: int,
+    learning_rate: float,
+    max_depth: int,
+    min_samples_split: int,
+    min_samples_leaf: int,
+) -> np.ndarray:
+    """Boosted margin on ``query`` from a fit that finds each leaf's rows with a mask."""
+    p_prior = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
+    base_margin = float(np.log(p_prior / (1.0 - p_prior)))
+    margin = np.full(len(y), base_margin)
+    out = np.full(len(query), base_margin)
+    for _ in range(n_estimators):
+        p = sigmoid(margin)
+        residual = y - p
+        hessian = p * (1.0 - p)
+        tree = grow_tree_oracle(X, residual, "sse", max_depth, min_samples_split, min_samples_leaf)
+        leaves = apply_oracle(tree, X)
+        for leaf in np.unique(leaves):
+            members = leaves == leaf
+            tree.value[leaf] = residual[members].sum() / (hessian[members].sum() + 1e-12)
+        margin = margin + learning_rate * tree.value[leaves]
+        out = out + learning_rate * tree.value[apply_oracle(tree, query)]
+    return out

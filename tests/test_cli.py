@@ -102,6 +102,39 @@ def test_load_config_short_on_down_must_be_a_boolean(tmp_path):
     assert load_config(path).short_on_down is False
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (MINIMAL.replace("seed: 1", "seed: 1.9"), "seed"),
+        (MINIMAL + "windows: 2.7\n", "windows"),
+        (MINIMAL + "windows: true\n", "windows"),
+        (MINIMAL + "features: {sma_period: 14.9}\n", "sma_period"),
+        (MINIMAL.replace("length: 200", "length: 200.5"), "length"),
+        (MINIMAL.replace("length: 200", 'length: "200"'), "length"),
+    ],
+    ids=[
+        "seed-fraction",
+        "windows-fraction",
+        "windows-bool",
+        "period-fraction",
+        "length-fraction",
+        "length-string",
+    ],
+)
+def test_load_config_integer_field_refuses_non_integers(tmp_path, text, key):
+    path = tmp_path / "ints.yml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
+        load_config(path)
+
+
+def test_load_config_float_field_takes_an_integer(tmp_path):
+    path = tmp_path / "floats.yml"
+    path.write_text(MINIMAL.replace("length: 200", "length: 200, volatility_pct: 2"))
+    volatility = load_config(path).sources[0].synthetic.volatility_pct
+    assert volatility == 2.0 and type(volatility) is float
+
+
 def test_load_config_empty_model_list_enables_nothing(tmp_path):
     path = tmp_path / "no_models.yml"
     path.write_text(MINIMAL + "models: []\n")
@@ -245,5 +278,20 @@ def test_cli_unknown_instrument_key_is_a_config_error(tmp_path, caplog):
 def test_cli_malformed_yaml_list_is_a_config_error(tmp_path, caplog, text, says):
     path = tmp_path / "lists.yml"
     path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    assert any(says in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize(
+    "entry, says",
+    [
+        ("symbol: null\n    synthetic: {kind: random_walk, length: 200}", "needs a string symbol"),
+        ("symbol: A\n    csv: 5", "'csv' must be a path string, got 5"),
+    ],
+    ids=["symbol-null", "csv-not-a-string"],
+)
+def test_cli_instrument_entry_needs_string_symbol_and_csv(tmp_path, caplog, entry, says):
+    path = tmp_path / "entry.yml"
+    path.write_text(f"seed: 1\ninstruments:\n  - {entry}\n")
     assert main(["run", "--config", str(path)]) == 2
     assert any(says in m for m in caplog.messages)

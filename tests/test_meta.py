@@ -104,6 +104,23 @@ def test_meta_prediction_is_majority_of_voters():
     assert len(meta.voters) == 3  # odd voter count: no ties possible
 
 
+def test_select_pairs_scores_each_voter_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    meta = train_meta(planted_records(rng, 120), seed=9)
+    records = [random_record(rng, instrument=f"I{i}", model="m") for i in range(40)]
+    rows = metric_rows(records)
+    votes, scores = meta.predict(rows), meta.score(rows)
+    calls = []
+    for voter in meta.voters:
+        score_samples = voter.score_samples
+        monkeypatch.setattr(voter, "score_samples", lambda X, f=score_samples: calls.append(1) or f(X))
+    chosen = select_pairs(meta, records, MODE_PROFITABLE_LIST).entries
+    assert len(calls) == len(meta.voters)
+    by_instrument = {r.instrument: i for i, r in enumerate(records)}
+    assert [e.meta_score for e in chosen] == [scores[by_instrument[e.instrument]] for e in chosen]
+    assert {e.instrument for e in chosen} == {r.instrument for r, v in zip(records, votes) if v == 1}
+
+
 def test_meta_deterministic_and_order_independent():
     rng = np.random.default_rng(4)
     history = planted_records(rng, 150)

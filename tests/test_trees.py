@@ -1,7 +1,10 @@
-"""The pre-sorted CART grower against the per-node-argsort reference.
+"""The pre-sorted CART grower, the level-wise descent and boosting's leaf
+step against their per-node, per-row and per-leaf-mask references.
 
 Both growers must build the same tree bit for bit: same split features,
-thresholds, child links and leaf values, including every tie-break.
+thresholds, child links and leaf values, including every tie-break.  The
+descent must reach the same leaf as a walk from the root, and boosting
+must give the same margin as the mask-per-leaf fit.
 """
 
 import itertools
@@ -11,9 +14,9 @@ import pytest
 
 from pairselect.models import ClassifierSpec, train
 from pairselect.models import trees
-from pairselect.models.trees import grow_tree
+from pairselect.models.trees import GradientBoostingModel, grow_tree
 
-from oracles import grow_tree_oracle
+from oracles import apply_oracle, gradient_boosting_margin_oracle, grow_tree_oracle
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
@@ -48,7 +51,8 @@ def _assert_same_tree(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_grower_matches_reference_on_random_cases():
+def _random_cases():
+    """(X, target, grower kwargs, feature-draw seed or None) for 240 mixed cases."""
     rng = np.random.default_rng(2016)
     for case in range(240):
         n = int(rng.integers(2, 301))
@@ -62,9 +66,26 @@ def test_grower_matches_reference_on_random_cases():
             min_samples_split=int(rng.integers(2, 7)),
             min_samples_leaf=int(rng.integers(1, 5)),
         )
+        seed = None
         if d > 1 and rng.random() < 0.4:
             kwargs["max_features"] = int(rng.integers(1, d))
             seed = int(rng.integers(2**32))
+        yield X, target, kwargs, seed
+
+
+def _probe(rng, X, tree):
+    """Training rows, rows sitting exactly on split thresholds, and rows far outside the training range."""
+    on_split = X[rng.integers(0, len(X), size=len(tree.feature))]
+    inner = np.flatnonzero(tree.feature >= 0)
+    on_split[inner, tree.feature[inner]] = tree.threshold[inner]
+    span = np.ptp(X, axis=0) + 1.0
+    beyond = [X.min(axis=0) - span, X.max(axis=0) + span, 10.0 * span * rng.normal(size=X.shape[1])]
+    return np.vstack([X, on_split, *beyond])
+
+
+def test_grower_matches_reference_on_random_cases():
+    for X, target, kwargs, seed in _random_cases():
+        if seed is not None:
             rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             _assert_same_tree(
                 grow_tree(X, target, rng=rng_new, **kwargs),
@@ -73,6 +94,52 @@ def test_grower_matches_reference_on_random_cases():
             assert rng_new.random() == rng_ref.random()  # same draws, same order
         else:
             _assert_same_tree(grow_tree(X, target, **kwargs), grow_tree_oracle(X, target, **kwargs))
+
+
+def test_descent_matches_per_row_walk_on_random_cases():
+    rng = np.random.default_rng(1999)
+    for X, target, kwargs, seed in _random_cases():
+        tree = grow_tree(X, target, rng=None if seed is None else np.random.default_rng(seed), **kwargs)
+        probe = _probe(rng, X, tree)
+        assert np.array_equal(tree.apply(probe), apply_oracle(tree, probe))
+
+
+def test_descent_edge_cases():
+    X = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 6.0], [3.0, 7.0]])
+    tree = grow_tree(X, np.array([0.0, 0.0, 1.0, 1.0]), "gini", 5, 2, 1)
+    empty = tree.apply(np.empty((0, 2)))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    threshold = tree.threshold[0]
+    above = np.nextafter(threshold, 9.0)
+    on_and_off = np.array([[threshold, 0.0], [above, 0.0], [-1e300, 0.0], [1e300, 0.0]])
+    leaves = tree.apply(on_and_off)
+    assert leaves.tolist() == [tree.left[0], tree.right[0], tree.left[0], tree.right[0]]
+    assert np.array_equal(leaves, apply_oracle(tree, on_and_off))
+    stump = grow_tree(X, np.ones(4), "gini", 5, 2, 1)  # a pure target never splits
+    assert len(stump.value) == 1
+    assert np.array_equal(stump.apply(np.vstack([X, -X])), np.zeros(8, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "n, d, max_depth, min_samples_leaf",
+    [(400, 3, 2, 1), (300, 5, 4, 3), (250, 4, 12, 1)],
+    ids=["few-large-leaves", "mid-depth", "deep"],
+)
+def test_boosting_matches_mask_per_leaf_fit(n, d, max_depth, min_samples_leaf):
+    rng = np.random.default_rng(n + d)
+    X = np.column_stack([_features(rng, n, d - 1), rng.normal(size=n)])
+    y = (X[:, -1] + rng.normal(size=n) > 0).astype(np.int64)
+    probe = np.vstack([X, 3.0 * rng.normal(size=(60, d))])
+    params = dict(
+        n_estimators=12,
+        learning_rate=0.3,
+        max_depth=max_depth,
+        min_samples_split=2,
+        min_samples_leaf=min_samples_leaf,
+    )
+    model = GradientBoostingModel(**params).fit(X, y)
+    reference = gradient_boosting_margin_oracle(X, y, probe, **params)
+    assert np.array_equal(model.decision_margin(probe), reference)
 
 
 @pytest.mark.parametrize("criterion", ["gini", "sse"])
