@@ -6,7 +6,11 @@ The keys and their defaults are the fields of :class:`RunConfig`
 instrument's ``synthetic:``); the loader passes on only the keys a file
 sets.  Everything except ``seed`` and ``instruments`` has a default.
 Settings check themselves when built, so a bad value is the same
-:class:`ConfigError` here as in code.
+:class:`ConfigError` here as in code.  Each value must fit its field's
+type by the rule grid values share (``errors.conform``): ``bool``,
+``int`` and ``str`` fields take only that exact type; a ``float`` field
+takes an int, a float or a numeric string (PyYAML reads ``1e-9`` as a
+string), never a bool.
 Each ``instruments:`` entry takes the keys ``symbol`` (a string), ``csv``
 (a path string) and ``synthetic``, and needs exactly one of the last two.
 Relative CSV paths resolve against the config file's directory.
@@ -20,33 +24,16 @@ from pathlib import Path
 import yaml
 
 from .data import InstrumentSource, SyntheticSpec
-from .errors import ConfigError
+from .errors import ConfigError, conform_all
 from .features import FeatureParams
 from .pipeline import RunConfig
 
 
 def _construct(cls, values: dict, where):
-    """``cls(**values)``, each value checked against its field's declared type.
-
-    ``bool`` and ``int`` fields take only that exact type; ``float`` and
-    ``str`` fields convert.  A bad value, or a key ``cls`` does not declare
-    (which fails in its constructor), becomes a :class:`ConfigError`.
-    """
-    declared = typing.get_type_hints(cls)
-    converted = {}
-    for key, value in values.items():
-        kind = declared.get(key)
-        if kind in (bool, int) and type(value) is not kind:
-            expected = "true or false" if kind is bool else "an integer"
-            raise ConfigError(f"{where}: {key!r} must be {expected}, got {value!r}")
-        try:
-            converted[key] = kind(value) if kind in (float, str) else value
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{where}: {key!r} must be of type {kind.__name__}, got {value!r}"
-            ) from None
+    """``cls(**values)``, each value conformed to its field's declared type;
+    a missing field fails in the constructor, as a :class:`ConfigError`."""
     try:
-        return cls(**converted)
+        return cls(**conform_all(typing.get_type_hints(cls), values, where))
     except TypeError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -1,25 +1,28 @@
 """The classifier zoo: nine kinds, grid search, persistence.
 
 Each kind's facts have one home.  Its name is the class's ``kind``
-attribute and its default hyperparameters are its constructor's
-defaults; the ``_ZOO`` table names the class, the hyperparameters its
-id carries, and a default one-axis tuning grid bracketing the defaults,
-in ``KIND_ORDER``.  ``REGISTRY`` is derived from that table, and
+attribute and its hyperparameters are the class's typed dataclass
+fields, defaults included; the ``_ZOO`` table names the class, the
+hyperparameters its id carries, and a default one-axis tuning grid
+bracketing the defaults, in ``KIND_ORDER``.  ``REGISTRY`` is derived from that table, and
 ``model_def`` is the one lookup that refuses an unknown kind.
+``ClassifierSpec.resolve`` is the one gate every hyperparameter passes:
+a name must be a field and a value must fit the field's type by the
+settings' rule (``errors.conform``), so ``C: 1`` and ``C: 1.0`` are one id.
 ``canonical_id`` encodes the kind plus the full resolved hyperparameter
 set and is the stable model identity used in records, seeds, and reports.
 """
 
 from __future__ import annotations
 
-import inspect
+import itertools
 import pickle
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, get_type_hints
 
 import numpy as np
 
-from ..errors import ConfigError, TrainingError
+from ..errors import ConfigError, TrainingError, conform_all
 from .base import Classifier, decide, derive_seed
 from .bayes import GaussianNBModel
 from .linear import LinearSVMModel, LogisticRegressionModel
@@ -36,8 +39,9 @@ _MODEL_VERSION = 1
 class ModelDef:
     kind: str
     factory: type
-    defaults: Mapping[str, Any]
+    defaults: Mapping[str, Any]  # of the hyperparameters the id carries
     default_grid: Mapping[str, tuple]
+    types: Mapping[str, Any]  # every hyperparameter's declared type
 
 
 # (class, the hyperparameters its canonical id carries, default grid), in KIND_ORDER
@@ -56,8 +60,8 @@ _ZOO = (
 
 
 def _zoo_entry(cls, id_names, grid) -> ModelDef:
-    params = inspect.signature(cls).parameters
-    return ModelDef(cls.kind, cls, {name: params[name].default for name in id_names}, grid)
+    defaults = {f.name: f.default for f in fields(cls)}
+    return ModelDef(cls.kind, cls, {name: defaults[name] for name in id_names}, grid, get_type_hints(cls))
 
 
 REGISTRY: dict[str, ModelDef] = {d.kind: d for d in (_zoo_entry(*row) for row in _ZOO)}
@@ -81,10 +85,11 @@ class ClassifierSpec:
 
     @staticmethod
     def resolve(kind: str, overrides: Mapping[str, Any] | None = None) -> "ClassifierSpec":
-        """Merge overrides onto the zoo defaults for ``kind``."""
-        params = dict(model_def(kind).defaults)
-        params.update(overrides or {})  # extra constructor knobs are allowed
-        return ClassifierSpec(kind, params)
+        """Merge overrides, each checked against its field, onto the zoo
+        defaults for ``kind``; any field may be overridden and joins the id."""
+        entry = model_def(kind)
+        checked = conform_all(entry.types, overrides or {}, f"model kind {kind!r}")
+        return ClassifierSpec(kind, {**entry.defaults, **checked})
 
     @property
     def canonical_id(self) -> str:
@@ -105,12 +110,12 @@ def train(spec: ClassifierSpec, X, y, seed: int) -> Classifier:
 
 
 def grid_combinations(kind: str, grid: Mapping[str, tuple] | None = None) -> list[ClassifierSpec]:
-    """Cartesian product of the grid axes, in declared order."""
-    axes = dict(grid) if grid else dict(model_def(kind).default_grid)
-    combos: list[dict] = [{}]
-    for name, values in axes.items():
-        combos = [dict(c, **{name: v}) for c in combos for v in values]
-    return [ClassifierSpec.resolve(kind, c) for c in combos]
+    """Cartesian product of the grid axes, in declared order; it may not be empty."""
+    axes = grid or model_def(kind).default_grid
+    combos = [ClassifierSpec.resolve(kind, dict(zip(axes, v))) for v in itertools.product(*axes.values())]
+    if not combos:
+        raise ConfigError(f"empty grid for model kind {kind!r}")
+    return combos
 
 
 @dataclass
@@ -142,9 +147,6 @@ def grid_search(
     evaluation order.
     """
     combos = grid_combinations(kind, grid)
-    if not combos:
-        raise ConfigError(f"empty grid for model kind {kind!r}")
-
     val_y = np.asarray(val_y)
     best: GridSearchResult | None = None
     trials: list[tuple[str, float | None, str | None]] = []

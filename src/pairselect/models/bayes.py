@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import Classifier
 
 
+@dataclass(eq=False)
 class GaussianNBModel(Classifier):
     """Per-class feature Gaussians with variance smoothing.
 
@@ -18,8 +21,7 @@ class GaussianNBModel(Classifier):
 
     kind = "gaussian_nb"
 
-    def __init__(self, var_smoothing: float = 1e-9):
-        self.var_smoothing = float(var_smoothing)
+    var_smoothing: float = 1e-9
 
     def _fit(self, X, y, rng) -> None:
         eps = self.var_smoothing * float(X.var(axis=0).max())

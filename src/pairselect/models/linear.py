@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import optimize
 
 from .base import Classifier, sigmoid
 
 
+@dataclass(eq=False)
 class LogisticRegressionModel(Classifier):
     """L2-regularized logistic regression fitted by batch L-BFGS.
 
@@ -18,10 +21,9 @@ class LogisticRegressionModel(Classifier):
     kind = "logistic"
     standardize = True
 
-    def __init__(self, C: float = 0.1, max_iter: int = 10_000, tol: float = 1e-6):
-        self.C = float(C)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
+    C: float = 0.1
+    max_iter: int = 10_000
+    tol: float = 1e-6
 
     def _fit(self, Z, y, rng) -> None:
         s = 2.0 * y - 1.0
@@ -52,6 +54,7 @@ class LogisticRegressionModel(Classifier):
         return sigmoid(Z @ self.coef_ + self.intercept_)
 
 
+@dataclass(eq=False)
 class LinearSVMModel(Classifier):
     """Hinge-loss linear SVM fitted by deterministic full-batch subgradient.
 
@@ -64,10 +67,9 @@ class LinearSVMModel(Classifier):
     kind = "linear_svm"
     standardize = True
 
-    def __init__(self, C: float = 1.0, max_iter: int = 10_000, tol: float = 1e-6):
-        self.C = float(C)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
+    C: float = 1.0
+    max_iter: int = 10_000
+    tol: float = 1e-6
 
     def _fit(self, Z, y, rng) -> None:
         Z = np.column_stack([Z, np.ones(len(Z))])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import Classifier, sigmoid
 
 
+@dataclass(eq=False)
 class MLPModel(Classifier):
     """ReLU hidden layer, sigmoid output, mean cross-entropy plus L2.
 
@@ -18,21 +21,12 @@ class MLPModel(Classifier):
     kind = "mlp"
     standardize = True
 
-    def __init__(
-        self,
-        hidden_units: int = 69,
-        alpha: float = 1e-4,
-        max_iter: int = 10_000,
-        tol: float = 1e-6,
-        patience: int = 10,
-        learning_rate: float = 0.01,
-    ):
-        self.hidden_units = int(hidden_units)
-        self.alpha = float(alpha)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
-        self.patience = int(patience)
-        self.learning_rate = float(learning_rate)
+    hidden_units: int = 69
+    alpha: float = 1e-4
+    max_iter: int = 10_000
+    tol: float = 1e-6
+    patience: int = 10
+    learning_rate: float = 0.01
 
     def _fit(self, Z, y, rng) -> None:
         n, d = Z.shape

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import Classifier, squared_distances
 
 
+@dataclass(eq=False)
 class KNeighborsModel(Classifier):
     """Euclidean kNN on standardized features.
 
@@ -18,8 +21,7 @@ class KNeighborsModel(Classifier):
     kind = "kneighbors"
     standardize = True
 
-    def __init__(self, n_neighbors: int = 7):
-        self.n_neighbors = int(n_neighbors)
+    n_neighbors: int = 7
 
     def _fit(self, Z, y, rng) -> None:
         self._Z = Z

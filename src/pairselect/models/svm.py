@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Literal
+
 import numpy as np
 
 from .base import Classifier, sigmoid, squared_distances
@@ -11,6 +14,7 @@ def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * squared_distances(A, B))
 
 
+@dataclass(eq=False)
 class KernelSVMModel(Classifier):
     """Soft-margin RBF SVM via deterministic projected gradient ascent.
 
@@ -24,11 +28,10 @@ class KernelSVMModel(Classifier):
     kind = "kernel_svm"
     standardize = True
 
-    def __init__(self, C: float = 1.0, gamma: float | str = "scale", max_iter: int = 5_000, tol: float = 1e-6):
-        self.C = float(C)
-        self.gamma = gamma
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
+    C: float = 1.0
+    gamma: float | Literal["scale"] = "scale"
+    max_iter: int = 5_000
+    tol: float = 1e-6
 
     def _fit(self, Z, y, rng) -> None:
         n, d = Z.shape
@@ -36,7 +39,7 @@ class KernelSVMModel(Classifier):
             var = float(Z.var())
             self._gamma = 1.0 / (d * var) if var > 0 else 1.0 / d
         else:
-            self._gamma = float(self.gamma)
+            self._gamma = self.gamma
 
         s = 2.0 * y.astype(np.float64) - 1.0
         K = _rbf(Z, Z, self._gamma) + 1.0  # +1 absorbs the intercept

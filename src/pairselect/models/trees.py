@@ -21,6 +21,8 @@ internal node to its child, so a query takes one array pass per level.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import Classifier, decide, sigmoid
@@ -165,15 +167,15 @@ def grow_tree(
     return tree
 
 
+@dataclass(eq=False)
 class DecisionTreeModel(Classifier):
     """CART classification tree; the score is the leaf's class-1 fraction."""
 
     kind = "decision_tree"
 
-    def __init__(self, max_depth: int = 12, min_samples_split: int = 6, min_samples_leaf: int = 4):
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
-        self.min_samples_leaf = int(min_samples_leaf)
+    max_depth: int = 12
+    min_samples_split: int = 6
+    min_samples_leaf: int = 4
 
     def _fit(self, X, y, rng) -> None:
         self._tree = grow_tree(
@@ -189,6 +191,7 @@ class DecisionTreeModel(Classifier):
         return self._tree.predict_value(X)
 
 
+@dataclass(eq=False)
 class RandomForestModel(Classifier):
     """Bootstrap ensemble of Gini trees with per-split feature subsampling.
 
@@ -199,17 +202,10 @@ class RandomForestModel(Classifier):
 
     kind = "random_forest"
 
-    def __init__(
-        self,
-        n_estimators: int = 500,
-        max_depth: int = 10,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-    ):
-        self.n_estimators = int(n_estimators)
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
-        self.min_samples_leaf = int(min_samples_leaf)
+    n_estimators: int = 500
+    max_depth: int = 10
+    min_samples_split: int = 2
+    min_samples_leaf: int = 1
 
     def _fit(self, X, y, rng) -> None:
         n, d = X.shape
@@ -238,6 +234,7 @@ class RandomForestModel(Classifier):
         return self.tree_votes(X).mean(axis=0)
 
 
+@dataclass(eq=False)
 class GradientBoostingModel(Classifier):
     """Additive regression trees on logistic-loss gradients.
 
@@ -249,19 +246,11 @@ class GradientBoostingModel(Classifier):
 
     kind = "gradient_boosting"
 
-    def __init__(
-        self,
-        n_estimators: int = 100,
-        learning_rate: float = 0.01,
-        max_depth: int = 12,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-    ):
-        self.n_estimators = int(n_estimators)
-        self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
-        self.min_samples_leaf = int(min_samples_leaf)
+    n_estimators: int = 100
+    learning_rate: float = 0.01
+    max_depth: int = 12
+    min_samples_split: int = 2
+    min_samples_leaf: int = 1
 
     def _fit(self, X, y, rng) -> None:
         p_prior = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)

@@ -12,7 +12,6 @@ store (and the second layer) grows window by window.
 from __future__ import annotations
 
 import datetime as dt
-import inspect
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -28,14 +27,13 @@ from .features import FeatureParams, LabeledDataset, build_dataset, feature_matr
 from .meta import (
     MODE_PROFITABLE_LIST,
     SELECTION_MODES,
-    MetaModel,
     PairSelection,
     mean_system_accuracy,
     metric_rows,
     select_pairs,
     train_meta,
 )
-from .models import KIND_ORDER, grid_search, model_def
+from .models import KIND_ORDER, grid_combinations, grid_search, model_def
 from .models.base import derive_seed
 from .splits import (
     DEFAULT_TEST_FRAC,
@@ -81,18 +79,12 @@ class RunConfig:
         check_fractions(test_frac=self.test_frac, val_frac=self.val_frac)
         if not self.model_kinds:
             raise ConfigError("config enables no model kinds")
-        for kind in self.grids:
+        for kind in self.model_kinds:
+            model_def(kind)  # first, so a kind that is not a string is named, not hashed
+        for kind, grid in self.grids.items():
             if kind not in self.model_kinds:
                 raise ConfigError(f"grid given for model kind {kind!r}, which is not enabled")
-        for kind in self.model_kinds:
-            # checked against the constructor, since knobs beyond the defaults are allowed
-            accepted = inspect.signature(model_def(kind).factory).parameters
-            for axis in self.grids.get(kind, {}):
-                if axis not in accepted:
-                    raise ConfigError(
-                        f"grid axis {axis!r} is not a parameter of model kind {kind!r}; "
-                        f"known: {sorted(accepted)}"
-                    )
+            grid_combinations(kind, grid)  # resolves, so checks, every grid value
         if self.selection_mode not in SELECTION_MODES:
             raise ConfigError(
                 f"unknown selection mode {self.selection_mode!r}; expected one of {SELECTION_MODES}"
@@ -223,6 +215,20 @@ def _test_outcome(model, window: LabeledDataset, short_on_down: bool) -> TestOut
     )
 
 
+def _select(config: RunConfig, records, histories, meta_seed: int) -> tuple[PairSelection | None, str]:
+    """Pairs among ``records`` picked by the voting layer fitted on the first
+    of ``histories`` it trains on, and "ok"; else None and the reason."""
+    note = "no meta history"
+    for history in histories:
+        try:
+            meta = train_meta(history, seed=meta_seed)
+        except TrainingError as exc:
+            note = str(exc)
+            continue
+        return select_pairs(meta, records, config.selection_mode), "ok"
+    return None, note
+
+
 def walk_forward(config: RunConfig, n_windows: int | None = None) -> list[RunReport]:
     """Run ``config.windows`` consecutive training cycles with a shared store.
 
@@ -261,19 +267,11 @@ def walk_forward(config: RunConfig, n_windows: int | None = None) -> list[RunRep
             except TrainingError:
                 meta_val_acc = None
 
-        selection = None
-        selection_note = "ok"
-        meta: MetaModel | None = None
-        try:
-            meta = train_meta(prior + records, seed=meta_seed)
-        except TrainingError as exc:
-            selection_note = str(exc)
-            logger.warning("window %d: %s; skipping selection", w + 1, exc)
-        if meta is not None:
-            selection = select_pairs(meta, records, config.selection_mode)
-
+        selection, selection_note = _select(config, records, [prior + records], meta_seed)
         outcomes = []
-        if selection is not None:
+        if selection is None:
+            logger.warning("window %d: %s; skipping selection", w + 1, selection_note)
+        else:
             by_symbol = {ds.symbol: (ds, view) for ds, view in zip(datasets, views)}
             for entry in selection.entries:
                 dataset, view = by_symbol[entry.instrument]
@@ -337,20 +335,10 @@ def predict_next(config: RunConfig) -> list[NextDayPrediction]:
     if not records:
         raise TrainingError("no (instrument, model) pair survived")
 
-    meta_seed = derive_seed(config.seed, run_id)
-    store_records = RecordStore(config.store_path).load()
-    meta = None
-    for history in (store_records, records):
-        try:
-            meta = train_meta(history, seed=meta_seed)
-            break
-        except TrainingError:
-            continue
-    if meta is None:
-        raise TrainingError(
-            "insufficient meta history in both the store and this run's records"
-        )
-    selection = select_pairs(meta, records, config.selection_mode)
+    histories = [RecordStore(config.store_path).load(), records]
+    selection, _ = _select(config, records, histories, derive_seed(config.seed, run_id))
+    if selection is None:
+        raise TrainingError("insufficient meta history in both the store and this run's records")
 
     by_symbol = {s.symbol: s for s in series_list}
     last_rows = {

@@ -2,9 +2,10 @@
 
 One file, one record per line, comma-delimited with a header written at
 creation; no value may contain the delimiter.  Appends are buffered and
-flushed in a single write so readers never observe a partial batch; a
-corrupt trailing line (the signature of an interrupted write) is skipped
-with a warning on load, while corruption anywhere else is an error.
+flushed in a single write so readers never observe a partial batch.  An
+unterminated last line (the signature of an interrupted write), and then
+a corrupt last record, are skipped with a warning on load and cut before
+the next append, while corruption anywhere else is an error.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ class RecordStore:
         if not records:
             return
         lines = []
-        if not self.path.exists():
-            lines.append(",".join(STORE_COLUMNS))
         for record in records:
             fields = record_row(record) + [
                 record.run_id,
@@ -45,10 +44,15 @@ class RecordStore:
                 if "," in f or "\n" in f:
                     raise StoreError(f"record field contains a delimiter: {f!r}")
             lines.append(",".join(fields))
-        payload = "\n".join(lines) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(payload)
+        with open(self.path, "a+b") as fh:
+            keep, size = _kept_length(fh)
+            if keep < size:
+                logger.warning("%s: cutting a torn or corrupt trailing line", self.path)
+                fh.truncate(keep)
+            if keep == 0:
+                lines.insert(0, ",".join(STORE_COLUMNS))
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -56,36 +60,49 @@ class RecordStore:
         """All records, oldest first; empty when the store does not exist."""
         if not self.path.exists():
             return []
-        raw = self.path.read_text(encoding="utf-8")
-        if raw == "":
-            return []
-        complete = raw.endswith("\n")
-        lines = raw.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not complete and lines:
-            logger.warning("%s: ignoring unterminated trailing line (partial write)", self.path)
-            lines.pop()
+        with open(self.path, "rb") as fh:
+            keep, size = _kept_length(fh)
+            fh.seek(0)
+            lines = fh.read(keep).decode("utf-8").split("\n")[:-1]
+        if keep < size:
+            logger.warning("%s: ignoring a torn or corrupt trailing line", self.path)
         if not lines:
             return []
         if tuple(lines[0].split(",")) != STORE_COLUMNS:
             raise StoreError(f"{self.path}: unexpected header {lines[0]!r}")
-
         records = []
-        last_index = len(lines) - 1
-        for i, line in enumerate(lines[1:], start=1):
-            fields = line.split(",")
+        for number, line in enumerate(lines[1:], start=2):
             try:
-                records.append(_parse_fields(fields))
+                records.append(_parse_fields(line.split(",")))
             except ValueError as exc:
-                if i == last_index:
-                    logger.warning("%s: ignoring corrupt trailing line: %s", self.path, exc)
-                    continue
-                raise StoreError(f"{self.path}: corrupt line {i + 1}: {exc}") from None
+                raise StoreError(f"{self.path}: corrupt line {number}: {exc}") from None
         return records
 
     def __len__(self) -> int:
         return len(self.load())
+
+
+def _kept_length(fh) -> tuple[int, int]:
+    """(bytes of the store that count, its size): all but an unterminated
+    last line and then a corrupt last record, found from the last few KiB."""
+    size = fh.seek(0, os.SEEK_END)
+    span = 4096
+    while True:
+        start = max(0, size - span)
+        fh.seek(start)
+        tail = fh.read()
+        last = tail.rfind(b"\n")  # ends the last complete line
+        prev = tail.rfind(b"\n", 0, max(last, 0))  # ends the line before it
+        if prev >= 0 or start == 0:
+            break
+        span *= 16
+    if prev < 0:  # no complete line, or only the header
+        return last + 1, size
+    try:
+        _parse_fields(tail[prev + 1 : last].decode("utf-8", "replace").split(","))
+    except ValueError:
+        return start + prev + 1, size
+    return start + last + 1, size
 
 
 def _parse_fields(fields: list[str]) -> EvaluationRecord:

@@ -257,6 +257,13 @@ def test_cli_malformed_grid_is_a_config_error(tmp_path, caplog, grids, says):
     assert any(says in m for m in caplog.messages)
 
 
+def test_load_config_refuses_an_empty_grid_before_any_work(tmp_path):
+    path = tmp_path / "grid.yml"
+    path.write_text(MINIMAL + "models: [logistic]\ngrids: {logistic: {C: []}}\n")
+    with pytest.raises(ConfigError, match="empty grid for model kind 'logistic'"):
+        load_config(path)
+
+
 def test_cli_unknown_instrument_key_is_a_config_error(tmp_path, caplog):
     path = tmp_path / "typo.yml"
     path.write_text(
@@ -293,5 +300,40 @@ def test_cli_malformed_yaml_list_is_a_config_error(tmp_path, caplog, text, says)
 def test_cli_instrument_entry_needs_string_symbol_and_csv(tmp_path, caplog, entry, says):
     path = tmp_path / "entry.yml"
     path.write_text(f"seed: 1\ninstruments:\n  - {entry}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert any(says in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        (
+            MINIMAL + "models: [random_forest]\ngrids: {random_forest: {n_estimators: [10.5]}}\n",
+            "'n_estimators' must be an integer, got 10.5",
+        ),
+        (
+            MINIMAL + "models: [decision_tree]\ngrids: {decision_tree: {max_depth: [6.7]}}\n",
+            "'max_depth' must be an integer, got 6.7",
+        ),
+        (
+            MINIMAL + "models: [kneighbors]\ngrids: {kneighbors: {n_neighbors: [true]}}\n",
+            "'n_neighbors' must be an integer, got True",
+        ),
+        (
+            MINIMAL + "models: [kernel_svm]\ngrids: {kernel_svm: {gamma: [auto]}}\n",
+            "'gamma' must be a number or 'scale', got 'auto'",
+        ),
+        (
+            MINIMAL.replace("length: 200", "length: 200, volatility_pct: true"),
+            "'volatility_pct' must be a number, got True",
+        ),
+        (MINIMAL + "split: {test_frac: false}\n", "'test_frac' must be a number, got False"),
+    ],
+    ids=["grid-int-fraction", "grid-depth-fraction", "grid-int-bool", "grid-gamma-word",
+         "float-setting-bool", "split-fraction-bool"],
+)
+def test_cli_value_of_the_wrong_type_is_named_with_its_type(tmp_path, caplog, text, says):
+    path = tmp_path / "types.yml"
+    path.write_text(text)
     assert main(["run", "--config", str(path)]) == 2
     assert any(says in m for m in caplog.messages)

@@ -78,6 +78,19 @@ def test_id_names_and_grid_axes_are_constructor_parameters(kind):
         assert entry.defaults[axis] in values  # the grid brackets the default
 
 
+@pytest.mark.parametrize(
+    "kind, spellings",
+    [
+        ("kernel_svm", [{"C": 1}, {"C": 1.0}, {"C": "1.0"}, {"gamma": "scale"}, {}]),
+        ("gaussian_nb", [{"var_smoothing": "1e-9"}, {"var_smoothing": 1e-9}, {}]),
+    ],
+    ids=["int-float-and-string", "yaml-string-exponent"],
+)
+def test_resolve_gives_one_id_to_every_spelling_of_a_float(kind, spellings):
+    ids = {ClassifierSpec.resolve(kind, overrides).canonical_id for overrides in spellings}
+    assert ids == {DEFAULT_IDS[kind]}
+
+
 def test_unknown_kind_error_is_the_same_everywhere(tmp_path):
     with pytest.raises(ConfigError) as resolved:
         ClassifierSpec.resolve("xgboost")

@@ -84,10 +84,10 @@ def test_terminated_but_malformed_trailing_line_is_skipped(tmp_path, caplog):
 def test_mid_file_corruption_is_an_error(tmp_path):
     store = RecordStore(tmp_path / "store.csv")
     store.append([make_record(0)])
+    good_line = store.path.read_text().split("\n")[1]
     with open(store.path, "a", encoding="utf-8") as fh:
-        fh.write("broken,line\n")
-    store.append([make_record(1)])
-    with pytest.raises(StoreError, match="corrupt line"):
+        fh.write("broken,line\n" + good_line + "\n")  # written behind the append's back
+    with pytest.raises(StoreError, match="corrupt line 3"):
         store.load()
 
 
@@ -114,3 +114,37 @@ def test_rejects_fields_containing_delimiter(tmp_path):
     )
     with pytest.raises(StoreError, match="delimiter"):
         store.append([bad])
+
+
+def test_append_after_a_torn_tail_keeps_every_record(tmp_path, caplog, monkeypatch):
+    store = RecordStore(tmp_path / "store.csv")
+    store.append([make_record(0), make_record(1)])
+    with open(store.path, "a", encoding="utf-8") as fh:
+        fh.write("AAPL,logistic,0.5")  # interrupted mid-write, no newline
+    monkeypatch.setattr(RecordStore, "load", None)  # append must not read the whole store
+    with caplog.at_level(logging.WARNING):
+        store.append([make_record(2)])
+        store.append([make_record(3)])
+    monkeypatch.undo()
+    assert store.load() == [make_record(i) for i in range(4)]
+    assert any("torn or corrupt trailing line" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize(
+    "corrupt", ["half,a,record\n", "x" * 10_000 + "\n"], ids=["short", "longer-than-the-read-tail"]
+)
+def test_append_after_a_corrupt_last_line_keeps_the_store_readable(tmp_path, corrupt):
+    store = RecordStore(tmp_path / "store.csv")
+    store.append([make_record(0)])
+    with open(store.path, "a", encoding="utf-8") as fh:
+        fh.write(corrupt)
+    store.append([make_record(1)])
+    assert store.load() == [make_record(0), make_record(1)]
+
+
+def test_append_to_an_empty_file_writes_the_header(tmp_path):
+    store = RecordStore(tmp_path / "store.csv")
+    store.path.touch()
+    store.append([make_record(0)])
+    assert store.path.read_text().split("\n")[0] == ",".join(STORE_COLUMNS)
+    assert store.load() == [make_record(0)]
