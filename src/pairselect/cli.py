@@ -43,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("walkforward", help="walk-forward replay over N windows")
-    p.add_argument("--windows", type=int, required=True, help="number of consecutive windows")
+    p.add_argument(
+        "--windows", type=int, default=None, help="number of consecutive windows (overrides config)"
+    )
     _add_common(p)
 
     p = sub.add_parser("predict-next", help="print next-day directions for selected pairs")

@@ -5,6 +5,12 @@ Real feeds are consumed as CSV files with the header
 skip calendar days (weekends, holidays), but must be strictly increasing.
 Synthetic instruments provide a controlled test universe: a sign-persistent
 process with a tunable predictability level, and a random walk with none.
+
+:func:`csv_lines` is the one writer of every CSV text the package makes
+(price series, records, the record store, selections, equity curves,
+feature dumps).  A float, numpy floats included, is written as
+``repr(float(x))``, which round-trips doubles exactly; any other value
+(ints, strings, dates as ISO text) is written with ``str``.
 """
 
 from __future__ import annotations
@@ -185,21 +191,21 @@ def parse_ohlcv_csv(raw: bytes, symbol: str) -> PriceSeries:
     return build_series(symbol, bars)
 
 
-def _fmt(x: float) -> str:
-    # repr round-trips doubles exactly, so parse(serialize(s)) == s bit for bit
-    return repr(float(x))
+_FLOATS = (float, np.floating)
+
+
+def csv_lines(rows) -> str:
+    """Comma-joined rows, each line ending in a newline, by the module's value rule."""
+    return "".join(
+        ",".join([repr(float(v)) if isinstance(v, _FLOATS) else str(v) for v in row]) + "\n"
+        for row in rows
+    )
 
 
 def serialize_ohlcv_csv(series: PriceSeries) -> bytes:
     """Emit the CSV form of a series; inverse of :func:`parse_ohlcv_csv`."""
-    out = io.StringIO()
-    out.write(",".join(OHLCV_HEADER) + "\n")
-    for b in series.bars:
-        out.write(
-            f"{b.date.isoformat()},{_fmt(b.open)},{_fmt(b.high)},{_fmt(b.low)},"
-            f"{_fmt(b.close)},{_fmt(b.adj_close)},{b.volume}\n"
-        )
-    return out.getvalue().encode("utf-8")
+    rows = ((b.date, b.open, b.high, b.low, b.close, b.adj_close, b.volume) for b in series.bars)
+    return csv_lines([OHLCV_HEADER, *rows]).encode("utf-8")
 
 
 def _trading_dates(n: int, start: dt.date = dt.date(2000, 1, 3)) -> list[dt.date]:

@@ -9,12 +9,12 @@ same window, so an all-1 predictor reproduces it exactly.
 from __future__ import annotations
 
 import datetime as dt
-import io
 import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import csv_lines
 from .errors import EvaluationError
 from .features import LabeledDataset
 from .models.base import decide
@@ -218,20 +218,11 @@ def evaluate_pair(
     )
 
 
-def record_row(record: EvaluationRecord) -> list[str]:
-    """The record's CSV_COLUMNS values as text; floats round-trip through repr."""
-    return [
-        record.instrument,
-        record.model,
-        *map(repr, _metric_values(record.metrics)),
-        str(record.profit_label),
-    ]
+def record_row(record: EvaluationRecord) -> list:
+    """The record's CSV_COLUMNS values, in order."""
+    return [record.instrument, record.model, *_metric_values(record.metrics), record.profit_label]
 
 
 def records_to_csv(records) -> str:
     """Evaluation records in the reporting column order, one per line."""
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for record in records:
-        out.write(",".join(record_row(record)) + "\n")
-    return out.getvalue()
+    return csv_lines([CSV_COLUMNS, *map(record_row, records)])

@@ -13,12 +13,11 @@ feature can see its own label's day.
 from __future__ import annotations
 
 import datetime as dt
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OhlcvBar, PriceSeries
+from .data import OhlcvBar, PriceSeries, csv_lines
 from .errors import ConfigError, ValidationError
 
 FEATURE_NAMES = ("return_pct", "sma", "rsi", "macd", "signal", "histogram")
@@ -209,12 +208,8 @@ class LabeledDataset:
         return LabeledDataset(self.symbol, self.dates[sl], self.X[sl], self.y[sl], self.returns[sl])
 
     def to_debug_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(("target_date", *FEATURE_NAMES, "label")) + "\n")
-        for i, date in enumerate(self.dates):
-            row = ",".join(repr(float(v)) for v in self.X[i])
-            out.write(f"{date.isoformat()},{row},{int(self.y[i])}\n")
-        return out.getvalue()
+        rows = ((date, *x, label) for date, x, label in zip(self.dates, self.X, self.y))
+        return csv_lines([("target_date", *FEATURE_NAMES, "label"), *rows])
 
 
 def build_dataset(series: PriceSeries, params: FeatureParams = FeatureParams()) -> LabeledDataset:

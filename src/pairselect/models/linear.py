@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .base import Classifier, sigmoid
 
@@ -26,6 +25,8 @@ class LogisticRegressionModel(Classifier):
     tol: float = 1e-6
 
     def _fit(self, Z, y, rng) -> None:
+        from scipy import optimize  # here, not at the top: it is most of the package's import time
+
         s = 2.0 * y - 1.0
         n, d = Z.shape
 

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import InstrumentSource, PriceSeries, load_series
+from .data import InstrumentSource, PriceSeries, csv_lines, load_series
 from .errors import ConfigError, EvaluationError, PairselectError, TrainingError
 from .evaluation import EvaluationRecord, evaluate_pair, records_to_csv, window_backtest
 from .features import FeatureParams, LabeledDataset, build_dataset, feature_matrix
@@ -76,6 +76,13 @@ class RunConfig:
         symbols = [s.symbol for s in self.sources]
         if len(set(symbols)) != len(symbols):
             raise ConfigError(f"duplicate instrument symbols in universe: {symbols}")
+        by_slug: dict[str, str] = {}
+        for symbol in symbols:  # the slug names each selected pair's equity file
+            other = by_slug.setdefault(_slug(symbol), symbol)
+            if other != symbol:
+                raise ConfigError(
+                    f"instrument symbols {other!r} and {symbol!r} share the file name {_slug(symbol)!r}"
+                )
         check_fractions(test_frac=self.test_frac, val_frac=self.val_frac)
         if not self.model_kinds:
             raise ConfigError("config enables no model kinds")
@@ -376,25 +383,21 @@ def emit_reports(report: RunReport, outdir) -> list[Path]:
     records_path.write_text(records_to_csv(report.records), encoding="utf-8")
     written.append(records_path)
 
-    lines = ["mode,rank,instrument,model,meta_score,vote"]
+    rows = [("mode", "rank", "instrument", "model", "meta_score", "vote")]
     if report.selection is not None:
-        for rank, entry in enumerate(report.selection.entries, start=1):
-            lines.append(
-                f"{report.selection.mode},{rank},{entry.instrument},{entry.model},"
-                f"{entry.meta_score!r},{entry.vote}"
-            )
+        rows += [
+            (report.selection.mode, rank, entry.instrument, entry.model, entry.meta_score, entry.vote)
+            for rank, entry in enumerate(report.selection.entries, start=1)
+        ]
     selection_path = outdir / "selection.csv"
-    selection_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    selection_path.write_text(csv_lines(rows), encoding="utf-8")
     written.append(selection_path)
 
     for outcome in report.test_outcomes:
         path = outdir / f"equity_{_slug(outcome.instrument)}_{_slug(outcome.model)}.csv"
-        rows = ["date,strategy_cum_pct,normal_cum_pct"]
-        for i, date in enumerate(outcome.dates):
-            rows.append(
-                f"{date.isoformat()},{outcome.strategy_cum_pct[i]!r},{outcome.normal_cum_pct[i]!r}"
-            )
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows = [("date", "strategy_cum_pct", "normal_cum_pct")]
+        rows += zip(outcome.dates, outcome.strategy_cum_pct, outcome.normal_cum_pct)
+        path.write_text(csv_lines(rows), encoding="utf-8")
         written.append(path)
 
     summary_path = outdir / "summary.txt"

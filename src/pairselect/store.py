@@ -15,6 +15,7 @@ import logging
 import os
 from pathlib import Path
 
+from .data import csv_lines
 from .errors import StoreError
 from .evaluation import CSV_COLUMNS, EvaluationRecord, MetricSet, record_row
 
@@ -33,17 +34,12 @@ class RecordStore:
         records = list(records)
         if not records:
             return
-        lines = []
+        rows = []
         for record in records:
-            fields = record_row(record) + [
-                record.run_id,
-                record.window_start.isoformat(),
-                record.window_end.isoformat(),
-            ]
-            for f in fields:
-                if "," in f or "\n" in f:
-                    raise StoreError(f"record field contains a delimiter: {f!r}")
-            lines.append(",".join(fields))
+            for text in (record.instrument, record.model, record.run_id):
+                if "," in text or "\n" in text:
+                    raise StoreError(f"record field contains a delimiter: {text!r}")
+            rows.append(record_row(record) + [record.run_id, record.window_start, record.window_end])
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as fh:
             keep, size = _kept_length(fh)
@@ -51,8 +47,8 @@ class RecordStore:
                 logger.warning("%s: cutting a torn or corrupt trailing line", self.path)
                 fh.truncate(keep)
             if keep == 0:
-                lines.insert(0, ",".join(STORE_COLUMNS))
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+                rows.insert(0, STORE_COLUMNS)
+            fh.write(csv_lines(rows).encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -63,17 +59,18 @@ class RecordStore:
         with open(self.path, "rb") as fh:
             keep, size = _kept_length(fh)
             fh.seek(0)
-            lines = fh.read(keep).decode("utf-8").split("\n")[:-1]
+            lines = fh.read(keep).split(b"\n")[:-1]
         if keep < size:
             logger.warning("%s: ignoring a torn or corrupt trailing line", self.path)
         if not lines:
             return []
-        if tuple(lines[0].split(",")) != STORE_COLUMNS:
-            raise StoreError(f"{self.path}: unexpected header {lines[0]!r}")
+        header = lines[0].decode("utf-8", "replace")
+        if tuple(header.split(",")) != STORE_COLUMNS:
+            raise StoreError(f"{self.path}: unexpected header {header!r}")
         records = []
         for number, line in enumerate(lines[1:], start=2):
-            try:
-                records.append(_parse_fields(line.split(",")))
+            try:  # a UnicodeDecodeError is a ValueError too
+                records.append(_parse_fields(line.decode("utf-8").split(",")))
             except ValueError as exc:
                 raise StoreError(f"{self.path}: corrupt line {number}: {exc}") from None
         return records
@@ -99,7 +96,7 @@ def _kept_length(fh) -> tuple[int, int]:
     if prev < 0:  # no complete line, or only the header
         return last + 1, size
     try:
-        _parse_fields(tail[prev + 1 : last].decode("utf-8", "replace").split(","))
+        _parse_fields(tail[prev + 1 : last].decode("utf-8").split(","))
     except ValueError:
         return start + prev + 1, size
     return start + last + 1, size

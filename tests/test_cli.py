@@ -205,6 +205,13 @@ def test_cli_walkforward_window_dirs(config_file, tmp_path, capsys):
     assert (out / "window_02" / "records.csv").exists()
 
 
+def test_cli_walkforward_takes_the_window_count_from_the_config(tmp_path, capsys):
+    path = tmp_path / "windows.yml"
+    path.write_text(CONFIG_TEMPLATE.format(length=600) + "windows: 2\n")
+    assert main(["walkforward", "--config", str(path)]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("window_*")) == ["window_01", "window_02"]
+
+
 def test_cli_predict_next_prints_directions(config_file, tmp_path, capsys):
     assert main(["walkforward", "--config", str(config_file), "--windows", "2"]) == 0
     capsys.readouterr()
@@ -272,6 +279,17 @@ def test_cli_unknown_instrument_key_is_a_config_error(tmp_path, caplog):
     )
     assert main(["run", "--config", str(path)]) == 2
     assert any("'csvpath'" in m and "'A'" in m for m in caplog.messages)
+
+
+def test_cli_symbols_that_share_a_file_name_are_a_config_error(tmp_path, caplog):
+    path = tmp_path / "slugs.yml"
+    path.write_text(
+        "seed: 1\ninstruments:\n"
+        "  - symbol: GC=F\n    synthetic: {kind: random_walk, length: 200}\n"
+        "  - symbol: GC-F\n    synthetic: {kind: random_walk, length: 200}\n"
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    assert any("'GC=F' and 'GC-F'" in m for m in caplog.messages)
 
 
 @pytest.mark.parametrize(

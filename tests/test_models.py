@@ -1,8 +1,12 @@
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairselect
 from pairselect.data import InstrumentSource, SyntheticSpec
 from pairselect.errors import ConfigError, TrainingError
 from pairselect.models import (
@@ -292,3 +296,12 @@ def test_grid_combinations_include_defaults_in_order():
     assert len(ids) == 3
     assert ids[1] == ClassifierSpec.resolve("logistic").canonical_id
     assert combos[0].params["C"] == 0.01
+
+
+def test_importing_the_package_does_not_load_scipy_optimize():
+    src = str(Path(pairselect.__file__).resolve().parents[1])
+    probe = "import sys, pairselect; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -1,6 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import pairselect.meta as meta
+import pairselect.models as models
+import pairselect.pipeline as pipeline
 from pairselect.data import InstrumentSource, SyntheticSpec
 from pairselect.errors import ConfigError
 from pairselect.pipeline import (
@@ -185,11 +190,15 @@ def test_emit_reports_files_and_curves(tmp_path):
     names = {p.name for p in paths}
     assert "records.csv" in names and "selection.csv" in names and "summary.txt" in names
     assert (out / "records.csv").read_text().startswith("dataset,model,accuracy")
-    if reports[1].selection and reports[1].selection.entries:
-        curves = [p for p in paths if p.name.startswith("equity_")]
-        assert len(curves) == len(reports[1].test_outcomes)
-        header = curves[0].read_text().split("\n")[0]
+    curves = [p for p in paths if p.name.startswith("equity_")]
+    assert reports[1].test_outcomes and len(curves) == len(reports[1].test_outcomes)
+    for path, outcome in zip(curves, reports[1].test_outcomes):
+        header, *rows = path.read_text().splitlines()
         assert header == "date,strategy_cum_pct,normal_cum_pct"
+        assert [row.split(",")[0] for row in rows] == [d.isoformat() for d in outcome.dates]
+        values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        assert np.array_equal(values[:, 0], outcome.strategy_cum_pct)
+        assert np.array_equal(values[:, 1], outcome.normal_cum_pct)
 
 
 def test_always_long_pair_curves_coincide(tmp_path):
@@ -282,3 +291,30 @@ def test_split_fraction_is_refused_when_the_config_is_built():
         RunConfig(
             sources=synthetic_sources(), seed=1, out_dir=".", store_path="s.csv", test_frac=1.5
         )
+
+
+def test_the_benchmark_hooks_see_every_layer_and_one_store_read_per_window(tmp_path, monkeypatch):
+    """perfbench's tracer wraps these ten names, and its untraced clock takes
+    each RecordStore.load as the start of a walk-forward window."""
+    hooks = [
+        (pipeline, "load_series"), (pipeline, "build_dataset"), (pipeline, "grid_search"),
+        (pipeline, "evaluate_pair"), (pipeline, "train_meta"), (pipeline, "select_pairs"),
+        (models, "train"), (meta, "train"), (RecordStore, "load"), (RecordStore, "append"),
+    ]
+    calls = []
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls.append(key)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in hooks:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), f"{owner.__name__}.{name}"))
+    walk_forward(make_config(tmp_path, seed=35), 3)
+
+    assert {f"{owner.__name__}.{name}" for owner, name in hooks} <= set(calls)
+    load, search = "RecordStore.load", "pairselect.pipeline.grid_search"
+    order = [key for key, _ in itertools.groupby(k for k in calls if k in (load, search))]
+    assert calls.count(load) == 3 and order == [load, search] * 3

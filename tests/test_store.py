@@ -148,3 +148,30 @@ def test_append_to_an_empty_file_writes_the_header(tmp_path):
     store.append([make_record(0)])
     assert store.path.read_text().split("\n")[0] == ",".join(STORE_COLUMNS)
     assert store.load() == [make_record(0)]
+
+
+def _spoil_line(path, number):
+    """Put a byte that is not UTF-8 into line ``number`` (1-based) of the file."""
+    lines = path.read_bytes().split(b"\n")
+    lines[number - 1] = lines[number - 1].replace(b"AAPL", b"AA\xffL")
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_a_non_utf8_byte_mid_file_is_a_store_error_naming_its_line(tmp_path):
+    store = RecordStore(tmp_path / "store.csv")
+    store.append([make_record(i) for i in range(3)])
+    _spoil_line(store.path, 3)
+    with pytest.raises(StoreError, match="corrupt line 3"):
+        store.load()
+
+
+def test_a_non_utf8_last_record_is_skipped_then_cut(tmp_path, caplog):
+    store = RecordStore(tmp_path / "store.csv")
+    store.append([make_record(i) for i in range(3)])
+    _spoil_line(store.path, 4)
+    with caplog.at_level(logging.WARNING):
+        assert store.load() == [make_record(0), make_record(1)]
+        store.append([make_record(3)])
+    assert any("ignoring a torn or corrupt trailing line" in m for m in caplog.messages)
+    assert any("cutting a torn or corrupt trailing line" in m for m in caplog.messages)
+    assert store.load() == [make_record(0), make_record(1), make_record(3)]
