@@ -1,12 +1,13 @@
 """End-to-end orchestration: train, evaluate, select, replay, report.
 
-One training cycle runs the full composition: fit every enabled
-(instrument, kind) pair on its learn range with grid search, score the
-winners on validation, append the records to the store, retrain the
-voting layer on the whole store, select pairs, and replay the selected
-pairs on the untouched test range.  Walk-forward repeats the cycle over
-consecutive test segments tiling the newest part of the timeline, so the
-store (and the second layer) grows window by window.
+Each layer is one function.  ``_layer1`` grid-searches every enabled
+(instrument, kind) pair on its learn range and scores the winner on
+validation; ``_layer2`` fits the voting layer on a record history and
+selects pairs, each with its fitted model.  ``walk_forward`` runs both
+per test segment, growing the store window by window, and replays the
+selected pairs on the untouched test range; ``predict_next`` runs both
+once and reads their directions at the last bar.  Each caller keeps its
+own layer-2 history rule.
 """
 
 from __future__ import annotations
@@ -166,12 +167,14 @@ def _load_datasets(config: RunConfig) -> tuple[list[PriceSeries], list[LabeledDa
     return series_list, datasets
 
 
-def _evaluate_window(
+def _layer1(
     config: RunConfig,
     datasets: list[LabeledDataset],
     views: list[SplitView],
     run_id: str,
 ) -> tuple[list[EvaluationRecord], list[FailureRecord], dict]:
+    """Records, failed pairs and fitted models keyed by (instrument, model
+    id); a run in which no pair survives is a :class:`TrainingError`."""
     records: list[EvaluationRecord] = []
     failures: list[FailureRecord] = []
     models: dict[tuple[str, str], object] = {}
@@ -202,6 +205,8 @@ def _evaluate_window(
                 continue
             records.append(record)
             models[(dataset.symbol, record.model)] = result.model
+    if not records:
+        raise TrainingError(f"run {run_id}: no (instrument, model) pair survived")
     return records, failures, models
 
 
@@ -222,18 +227,25 @@ def _test_outcome(model, window: LabeledDataset, short_on_down: bool) -> TestOut
     )
 
 
-def _select(config: RunConfig, records, histories, meta_seed: int) -> tuple[PairSelection | None, str]:
+def _layer2(
+    config: RunConfig, records, models, histories, run_id: str
+) -> tuple[PairSelection | None, str, list]:
     """Pairs among ``records`` picked by the voting layer fitted on the first
-    of ``histories`` it trains on, and "ok"; else None and the reason."""
-    note = "no meta history"
+    of ``histories`` it trains on: the selection, a note, and each selected
+    entry with its fitted model from ``models``.  The note is "ok" when the
+    first history trained the voting layer and otherwise the reason the last
+    one could not; the selection is None when none could."""
+    meta_seed = derive_seed(config.seed, run_id)
+    note = "ok"
     for history in histories:
         try:
             meta = train_meta(history, seed=meta_seed)
         except TrainingError as exc:
             note = str(exc)
             continue
-        return select_pairs(meta, records, config.selection_mode), "ok"
-    return None, note
+        selection = select_pairs(meta, records, config.selection_mode)
+        return selection, note, [(e, models[(e.instrument, e.model)]) for e in selection.entries]
+    return None, note, []
 
 
 def walk_forward(config: RunConfig, n_windows: int | None = None) -> list[RunReport]:
@@ -258,34 +270,27 @@ def walk_forward(config: RunConfig, n_windows: int | None = None) -> list[RunRep
         views = [plan[w] for plan in plans]
         prior = store.load()
 
-        records, failures, models = _evaluate_window(config, datasets, views, run_id)
-        if not records:
-            raise TrainingError(f"window {w + 1}: no (instrument, model) pair survived")
+        records, failures, models = _layer1(config, datasets, views, run_id)
         store.append(records)
 
-        meta_seed = derive_seed(config.seed, run_id)
         meta_val_acc = None
         if prior:
             try:
-                prior_meta = train_meta(prior, seed=meta_seed)
+                prior_meta = train_meta(prior, seed=derive_seed(config.seed, run_id))
                 rows = metric_rows(records)
                 labels = np.array([r.profit_label for r in records])
                 meta_val_acc = float((prior_meta.predict(rows) == labels).mean())
             except TrainingError:
                 meta_val_acc = None
 
-        selection, selection_note = _select(config, records, [prior + records], meta_seed)
-        outcomes = []
+        selection, selection_note, picks = _layer2(config, records, models, [prior + records], run_id)
         if selection is None:
             logger.warning("window %d: %s; skipping selection", w + 1, selection_note)
-        else:
-            by_symbol = {ds.symbol: (ds, view) for ds, view in zip(datasets, views)}
-            for entry in selection.entries:
-                dataset, view = by_symbol[entry.instrument]
-                model = models[(entry.instrument, entry.model)]
-                outcomes.append(
-                    _test_outcome(model, dataset.take(view.test), config.short_on_down)
-                )
+        tests = {ds.symbol: ds.take(view.test) for ds, view in zip(datasets, views)}
+        outcomes = [
+            _test_outcome(model, tests[entry.instrument], config.short_on_down)
+            for entry, model in picks
+        ]
 
         reports.append(
             RunReport(
@@ -326,9 +331,9 @@ def predict_next(config: RunConfig) -> list[NextDayPrediction]:
 
     Trains on all available history (validation carved from its newest
     part), selects pairs with the store-trained meta model when the store
-    is deep enough and with this run's own records otherwise, then reads
-    each selected model's feature row at the very last bar.  Nothing is
-    appended to the store.
+    is deep enough and otherwise, logging a cold start, with this run's
+    own records, then reads each selected model's feature row at the very
+    last bar.  Nothing is appended to the store.
     """
     series_list, datasets = _load_datasets(config)
     run_id = f"{config.seed}-next"
@@ -338,34 +343,26 @@ def predict_next(config: RunConfig) -> list[NextDayPrediction]:
         learn, validation = learn_validation_split(len(ds), val_frac=config.val_frac)
         views.append(SplitView(learn, validation, range(len(ds), len(ds))))
 
-    records, failures, models = _evaluate_window(config, datasets, views, run_id)
-    if not records:
-        raise TrainingError("no (instrument, model) pair survived")
-
+    records, _, models = _layer1(config, datasets, views, run_id)
     histories = [RecordStore(config.store_path).load(), records]
-    selection, _ = _select(config, records, histories, derive_seed(config.seed, run_id))
+    selection, note, picks = _layer2(config, records, models, histories, run_id)
     if selection is None:
         raise TrainingError("insufficient meta history in both the store and this run's records")
+    if note != "ok":
+        logger.warning("cold start: the record store cannot train the voting layer (%s); "
+                       "falling back to this run's own records", note)
 
-    by_symbol = {s.symbol: s for s in series_list}
-    last_rows = {
-        symbol: feature_matrix(by_symbol[symbol], config.features)[-1:]
-        for symbol in {entry.instrument for entry in selection.entries}
+    selected = {entry.instrument for entry, _ in picks}
+    latest = {
+        s.symbol: (feature_matrix(s, config.features)[-1:], s.bars[-1].date)
+        for s in series_list
+        if s.symbol in selected
     }
     out = []
-    for entry in selection.entries:
-        series = by_symbol[entry.instrument]
-        model = models[(entry.instrument, entry.model)]
-        direction = int(model.predict(last_rows[entry.instrument])[0])
-        out.append(
-            NextDayPrediction(
-                instrument=entry.instrument,
-                model=entry.model,
-                direction=direction,
-                meta_score=entry.meta_score,
-                last_date=series.bars[-1].date,
-            )
-        )
+    for entry, model in picks:
+        row, last_date = latest[entry.instrument]
+        direction = int(model.predict(row)[0])
+        out.append(NextDayPrediction(entry.instrument, entry.model, direction, entry.meta_score, last_date))
     return out
 
 
@@ -423,7 +420,9 @@ def _summary_text(report: RunReport) -> str:
     else:
         lines.append(f"selection: {report.selection.mode}, {len(report.selection.entries)} pair(s)")
     if report.meta_validation_accuracy is None:
-        lines.append("layer2_validation_accuracy: n/a (no prior history)")
+        prior = report.store_size - len(report.records)
+        reason = f"untrained on {prior} prior records" if prior else "no prior history"
+        lines.append(f"layer2_validation_accuracy: n/a ({reason})")
         lines.append("paper_mean_accuracy: n/a")
     else:
         lines.append(f"layer2_validation_accuracy: {report.meta_validation_accuracy!r}")

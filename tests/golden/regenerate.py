@@ -7,8 +7,8 @@ the package's outputs; say in CHANGES.md what changed and why::
 
 It reruns acceptance criterion 7's walk-forward (four synthetic
 instruments, seed 77, the four fast kinds, four windows), copies each
-window's ``records.csv`` and ``selection.csv`` next to this script, and
-rewrites ``manifest.json`` with the SHA-256 of every CSV file the run
+window's CSV files (records, selection and equity curves) next to this
+script, and rewrites ``manifest.json`` with the SHA-256 of every CSV file the run
 writes and the Python, numpy and scipy versions that produced them.
 """
 
@@ -18,7 +18,7 @@ import platform
 import shutil
 import sys
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import scipy
@@ -27,7 +27,7 @@ from pairselect.data import InstrumentSource, SyntheticSpec
 from pairselect.pipeline import RunConfig, emit_reports, walk_forward
 
 GOLDEN = Path(__file__).resolve().parent
-KEPT = ("records.csv", "selection.csv")  # the files committed here
+KEPT = "window_*/*.csv"  # the files committed here: all but the store
 
 
 def run(out: Path) -> dict[str, str]:
@@ -62,7 +62,7 @@ def main() -> int:
         for old in GOLDEN.glob("window_*"):
             shutil.rmtree(old)
         for name in digests:
-            if Path(name).name in KEPT:
+            if PurePosixPath(name).match(KEPT):
                 (GOLDEN / name).parent.mkdir(exist_ok=True)
                 shutil.copyfile(out / name, GOLDEN / name)
     manifest = {

@@ -241,6 +241,18 @@ def test_cli_exit_codes(tmp_path, config_file):
     assert main(["report", "--config", str(config_file)]) == 2
 
 
+def test_cli_run_exits_1_when_every_pair_fails(config_file, caplog, monkeypatch):
+    import pairselect.pipeline as pipeline
+    from pairselect.errors import TrainingError
+
+    def failing(*args, **kwargs):
+        raise TrainingError("fit diverged")
+
+    monkeypatch.setattr(pipeline, "grid_search", failing)
+    assert main(["run", "--config", str(config_file)]) == 1
+    assert any("run 17-w01: no (instrument, model) pair survived" in m for m in caplog.messages)
+
+
 def test_cli_misspelled_grid_axis_is_a_config_error(tmp_path, caplog):
     path = tmp_path / "typo.yml"
     path.write_text(CONFIG_TEMPLATE.format(length=600) + "grids: {logistic: {Cee: [0.1]}}\n")

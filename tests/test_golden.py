@@ -4,9 +4,9 @@ write the outputs committed under ``tests/golden/``.
 Criterion 7 compares two runs of the same code; this test compares a run
 with the outputs of the code that produced the golden files.  When every
 CSV digest in the manifest matches, it passes at once.  Otherwise each
-window's ``records.csv`` and ``selection.csv`` must match the golden copy
-row by row: ids, labels, votes and order exactly, float columns within
-1e-12 relative, so an ulp-level BLAS difference on another machine is
+window's CSV files (records, selection and equity curves) must match the
+golden copy row by row: ids, labels, votes, dates and order exactly, float
+columns within 1e-12 relative, so an ulp-level BLAS difference on another machine is
 told apart from a real change.  A change that means to alter outputs
 re-pins them with ``tests/golden/regenerate.py``.
 """
@@ -17,14 +17,14 @@ import itertools
 import json
 import math
 from dataclasses import fields
-from pathlib import Path
+from pathlib import PurePosixPath
 
 import pytest
 
 from golden.regenerate import GOLDEN, KEPT, run
 from pairselect.evaluation import MetricSet
 
-FLOAT_COLUMNS = {f.name for f in fields(MetricSet)} | {"meta_score"}
+FLOAT_COLUMNS = {f.name for f in fields(MetricSet)} | {"meta_score", "strategy_cum_pct", "normal_cum_pct"}
 
 
 def _same(column: str, golden: str, now: str) -> bool:
@@ -57,7 +57,7 @@ def test_walk_forward_matches_the_golden_outputs(tmp_path):
     if digests == manifest["sha256"]:
         return
     for name in sorted(manifest["sha256"]):
-        if Path(name).name in KEPT:
+        if PurePosixPath(name).match(KEPT):
             now = (tmp_path / name).read_text() if (tmp_path / name).exists() else ""
             difference = first_difference(name, (GOLDEN / name).read_text(), now)
             if difference:

@@ -7,7 +7,7 @@ import pairselect.meta as meta
 import pairselect.models as models
 import pairselect.pipeline as pipeline
 from pairselect.data import InstrumentSource, SyntheticSpec
-from pairselect.errors import ConfigError
+from pairselect.errors import ConfigError, TrainingError
 from pairselect.pipeline import (
     RunConfig,
     emit_reports,
@@ -67,6 +67,8 @@ def test_singleton_universe_single_kind(tmp_path):
         sources=synthetic_sources(n_trend=1, n_noise=0),
         kinds=("gaussian_nb",),
     )
+    with pytest.raises(TrainingError, match="insufficient meta history in both the store and this run's"):
+        predict_next(config)  # empty store
     report = run_training_cycle(config)
     assert len(report.records) == 1
     # 1 record cannot reach the meta-history minimum: selection is skipped
@@ -124,6 +126,12 @@ def test_walk_forward_windows_accumulate_history(tmp_path):
     assert reports[2].paper_mean_accuracy == pytest.approx(
         2 * reports[2].meta_validation_accuracy - 1
     )
+    # the summary tells an empty prior history from one too small to train on
+    assert sizes[:2] == [16, 32]
+    summaries = [emit_reports(r, tmp_path / r.run_id)[-1].read_text() for r in reports]
+    assert "layer2_validation_accuracy: n/a (no prior history)\n" in summaries[0]
+    assert "layer2_validation_accuracy: n/a (untrained on 16 prior records)\n" in summaries[1]
+    assert f"layer2_validation_accuracy: {reports[2].meta_validation_accuracy!r}\n" in summaries[2]
 
 
 def test_walk_forward_single_window_equals_cycle(tmp_path):
@@ -223,6 +231,47 @@ def test_predict_next_directions(tmp_path):
         assert p.instrument in {s.symbol for s in config.sources}
     # nothing new appended by predict-next
     assert {r.run_id for r in RecordStore(config.store_path).load()} == {"33-w01", "33-w02"}
+
+
+def test_predict_next_logs_a_cold_start_only_when_the_store_cannot_train(tmp_path, caplog, monkeypatch):
+    import logging
+
+    config = make_config(tmp_path, sources=synthetic_sources(n_trend=4, n_noise=4), seed=33)
+    with caplog.at_level(logging.WARNING):
+        cold = predict_next(config)
+    assert cold
+    assert [m for m in caplog.messages if m.startswith("cold start")] == [
+        "cold start: the record store cannot train the voting layer "
+        "(insufficient meta history: 0 records, need 30); falling back to this run's own records"
+    ]
+
+    walk_forward(config, 2)
+    caplog.clear()
+    histories, train_meta = [], pipeline.train_meta
+
+    def spy(records, seed):
+        histories.append(len(records))
+        return train_meta(records, seed)
+
+    monkeypatch.setattr(pipeline, "train_meta", spy)
+    with caplog.at_level(logging.WARNING):
+        warm = predict_next(config)
+    assert warm
+    assert not [m for m in caplog.messages if m.startswith("cold start")]
+    # the voting layer is fitted once, on the store alone
+    assert histories == [len(RecordStore(config.store_path).load())] == [64]
+
+
+def test_every_pair_failing_is_a_training_error_naming_the_run(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise TrainingError("fit diverged")
+
+    monkeypatch.setattr(pipeline, "grid_search", failing)
+    config = make_config(tmp_path, seed=8)
+    with pytest.raises(TrainingError, match="run 8-w01: no .instrument, model. pair survived"):
+        walk_forward(config, 2)
+    with pytest.raises(TrainingError, match="run 8-next: no .instrument, model. pair survived"):
+        predict_next(config)
 
 
 def test_skipped_instrument_logged_not_fatal(tmp_path, caplog):
